@@ -120,9 +120,10 @@ let eval g env l =
 
 let word_mask = (1 lsl 62) - 1
 
-let simulate_words g inputs =
-  let values = Array.make g.n 0 in
-  for i = 0 to g.n - 1 do
+let simulate_words ?nodes g inputs =
+  let n = match nodes with Some k -> min k g.n | None -> g.n in
+  let values = Array.make n 0 in
+  for i = 0 to n - 1 do
     match g.nodes.(i) with
     | Const -> values.(i) <- 0
     | Input k ->

@@ -66,10 +66,13 @@ val simulate : t -> bool array -> bool array
 val lit_of_node_value : bool array -> lit -> bool
 (** Read a literal's value out of a {!simulate} result. *)
 
-val simulate_words : t -> int array -> int array
+val simulate_words : ?nodes:int -> t -> int array -> int array
 (** Bit-parallel simulation: input [k] carries a 62-bit pattern word;
     the result gives each node's 62 evaluations packed the same way.
-    This powers the candidate detection of SAT sweeping. *)
+    This powers the candidate detection of SAT sweeping and the random
+    simulation screen of {!Sweep.witness}.  [nodes] simulates only the
+    first [nodes] nodes (enough for any literal below that index, since
+    node order is topological); the default is the whole graph. *)
 
 val node_fanins : t -> int -> (lit * lit) option
 (** [node_fanins g n] is [Some (a, b)] when node [n] is an AND of

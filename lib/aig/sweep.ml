@@ -28,10 +28,15 @@ type state = {
   rnd : Random.State.t;
 }
 
-let random_word st =
-  (Random.State.bits st.rnd land 0x3FFFFFFF)
-  lor ((Random.State.bits st.rnd land 0x3FFFFFFF) lsl 30)
-  lor ((Random.State.bits st.rnd land 0x3) lsl 60)
+(* Random pattern words shared by the sweeper's signatures and the
+   screen of [witness]: [sim_words] words of 62 lanes, from a generator
+   seeded by the graph so results repeat run to run. *)
+let sim_words = 16
+
+let random_word rnd =
+  (Random.State.bits rnd land 0x3FFFFFFF)
+  lor ((Random.State.bits rnd land 0x3FFFFFFF) lsl 30)
+  lor ((Random.State.bits rnd land 0x3) lsl 60)
 
 let ensure_capacity st node =
   if node >= Array.length st.sig_words then begin
@@ -64,7 +69,7 @@ let rec get_sig st node : int array =
     | None ->
       (* An input that somehow has no signature yet. *)
       let len = sig_length st in
-      let s = Array.init len (fun _ -> random_word st) in
+      let s = Array.init len (fun _ -> random_word st.rnd) in
       s.(len - 1) <- s.(len - 1) land ((1 lsl st.bits_used) - 1);
       st.sig_words.(node) <- s;
       s
@@ -165,7 +170,8 @@ let prove_equal st a b =
     end
   end
 
-let fraig ?(sim_words = 4) ?(max_conflicts = 1000) g =
+let fraig ?(max_conflicts = 1000) g =
+  Dfv_obs.Trace.with_span ~cat:"aig" "aig.fraig" @@ fun () ->
   let n = Aig.num_nodes g in
   let g' = Aig.create () in
   let solver = S.create () in
@@ -222,7 +228,7 @@ let fraig ?(sim_words = 4) ?(max_conflicts = 1000) g =
         let node' = l lsr 1 in
         ensure_capacity st node';
         let len = sig_length st in
-        let s = Array.init len (fun _ -> random_word st) in
+        let s = Array.init len (fun _ -> random_word st.rnd) in
         s.(len - 1) <- s.(len - 1) land ((1 lsl st.bits_used) - 1);
         st.sig_words.(node') <- s;
         map.(node) <- l;
@@ -233,3 +239,43 @@ let fraig ?(sim_words = 4) ?(max_conflicts = 1000) g =
       classify node l
   done;
   (g', sub)
+
+(* Random simulation screen: the first of [sim_words] seeded words with
+   a lane where every root is true.  Only the node prefix below the
+   highest root is simulated, and only the inputs inside it draw
+   patterns, so the answer depends on that prefix alone — not on nodes
+   a shared graph gained afterwards. *)
+let witness g roots =
+  let nodes = 1 + List.fold_left (fun m l -> max m (l lsr 1)) 0 roots in
+  (* Inputs are numbered in node order: those below [nodes] are a prefix. *)
+  let ninputs = ref 0 in
+  for node = 0 to nodes - 1 do
+    if Option.is_some (Aig.node_input g node) then incr ninputs
+  done;
+  let ninputs = !ninputs in
+  let rnd = Random.State.make [| 0x5eed; nodes |] in
+  let lit_word values l =
+    let v = values.(l lsr 1) in
+    if l land 1 = 1 then lnot v land word_mask else v
+  in
+  let rec lowest_lane w i =
+    if (w lsr i) land 1 = 1 then i else lowest_lane w (i + 1)
+  in
+  let rec screen k =
+    if k = sim_words then None
+    else begin
+      let pats = Array.init ninputs (fun _ -> random_word rnd) in
+      let values = Aig.simulate_words ~nodes g pats in
+      let hits =
+        List.fold_left (fun acc l -> acc land lit_word values l) word_mask roots
+      in
+      if hits = 0 then screen (k + 1)
+      else begin
+        let lane = lowest_lane hits 0 in
+        Some
+          (Array.init (Aig.num_inputs g) (fun i ->
+               i < ninputs && (pats.(i) lsr lane) land 1 = 1))
+      end
+    end
+  in
+  screen 0

@@ -14,13 +14,19 @@
     {!fraig} rebuilds the graph with all proven-equivalent nodes merged
     and returns a literal translation into the new graph. *)
 
-val fraig :
-  ?sim_words:int ->
-  ?max_conflicts:int ->
-  Aig.t ->
-  Aig.t * (Aig.lit -> Aig.lit)
+val fraig : ?max_conflicts:int -> Aig.t -> Aig.t * (Aig.lit -> Aig.lit)
 (** [fraig g] returns [(g', sub)] where [sub] maps any literal of [g] to
-    an equivalent literal of [g'].  [sim_words] 62-bit random pattern
-    words drive candidate detection (default 8, i.e. 496 patterns);
+    an equivalent literal of [g'].  16 seeded 62-bit random pattern
+    words (992 patterns) drive candidate detection;
     [max_conflicts] bounds each pairwise SAT query (default 1000 —
     undecided pairs are left unmerged, so the result is always sound). *)
+
+val witness : Aig.t -> Aig.lit list -> bool array option
+(** Random simulation screen.  [witness g roots] simulates 16 seeded
+    62-lane pattern words (the same count and generator that seed
+    {!fraig}'s signatures) and returns the first input assignment,
+    indexed by input number, under which every literal of [roots] is
+    true; [None] when no lane of the 992 does.  A [Some] answer is a
+    genuine witness; [None] proves nothing.  The seed and the simulated
+    node prefix derive from the highest root, so the answer repeats for
+    the same graph prefix regardless of nodes built after it. *)

@@ -48,6 +48,25 @@ let now () = Unix.gettimeofday ()
 let stats_of session t0 =
   { (Session.stats session) with wall_seconds = now () -. t0 }
 
+(* Fold one verdict's counters into another's: a base case into its
+   induction step, a direct attempt into its retry on the swept graph. *)
+let add_stats (b : stats) (s : stats) =
+  {
+    s with
+    aig_ands = s.aig_ands + b.aig_ands;
+    sat_conflicts = s.sat_conflicts + b.sat_conflicts;
+    sat_decisions = s.sat_decisions + b.sat_decisions;
+    sat_propagations = s.sat_propagations + b.sat_propagations;
+    sat_clauses = s.sat_clauses + b.sat_clauses;
+    learnts_removed = s.learnts_removed + b.learnts_removed;
+    nodes_encoded = s.nodes_encoded + b.nodes_encoded;
+    nodes_reused = s.nodes_reused + b.nodes_reused;
+    unroll_hits = s.unroll_hits + b.unroll_hits;
+    queries = s.queries + b.queries;
+    unknowns = s.unknowns + b.unknowns;
+    frame_seconds = b.frame_seconds @ s.frame_seconds;
+  }
+
 (* Checker calls on a caller-supplied session use the session's budget
    unless the call overrides it. *)
 let effective_budget budget session =
@@ -131,40 +150,60 @@ let constraint_words slm ~g param_shapes constraints =
 
 (* Deciding the miter.
 
-   Portfolio: first attempt the query directly with a bounded conflict
-   budget — cheap miters (and most refutable ones) finish immediately.
-   If the budget runs out, SAT-sweep the graph (merging internally
-   equivalent nodes so structural differences between the two sides
-   collapse locally) and re-solve in a throwaway session on the swept
-   graph, under whatever budget remains.  [sweep:false] disables the
-   fallback, for ablation measurements.
+   Portfolio, cheapest first:
+   1. Screen: random simulation ({!Dfv_aig.Sweep.witness}) of the
+      violation and the side constraints together.  A lane where all of
+      them hold is a counterexample found without any SAT call; its
+      parameters are decoded from that lane, and the caller re-simulates
+      them like any other cex.  Most planted bugs fall here.
+   2. Direct: the query in the session with a bounded conflict budget —
+      cheap miters finish immediately.
+   3. If that budget runs out, SAT-sweep the graph (merging internally
+      equivalent nodes so structural differences between the two sides
+      collapse locally) and re-solve in a throwaway session on the swept
+      graph, under whatever budget remains.  [sweep:false] disables this
+      fallback, for ablation measurements.
 
    The query's side constraints are guarded by an activation literal so
    they evaporate from the session afterwards; the model (if any) is
    decoded into SLM parameter values before the literal is retired,
-   since retiring invalidates the model. *)
+   since retiring invalidates the model.  The result carries the
+   throwaway session, if one ran, so the verdict's stats can count both
+   attempts. *)
 let direct_budget = 5_000
 
-let decide_miter ~sweep ~budget session param_shapes violated cstrs =
-  let decode_params sn ps =
-    List.map
-      (fun (name, shape) ->
-        let v =
-          match shape with
-          | Elab.Word w -> Interp.Vint (Session.model_word sn w)
-          | Elab.Bank bank ->
-            Interp.Varr (Array.map (Session.model_word sn) bank)
-        in
-        (name, v))
-      ps
-  in
+let m_screened = Dfv_obs.Metrics.counter "sec.screened"
+
+let decode_params value ps =
+  let word w = Bitvec.of_bits (Array.map value w) in
+  List.map
+    (fun (name, shape) ->
+      let v =
+        match shape with
+        | Elab.Word w -> Interp.Vint (word w)
+        | Elab.Bank bank -> Interp.Varr (Array.map word bank)
+      in
+      (name, v))
+    ps
+
+let screen session param_shapes roots =
+  Dfv_obs.Trace.with_span ~cat:"sec" "sec.screen" @@ fun () ->
+  let g = Session.graph session in
+  match Dfv_aig.Sweep.witness g roots with
+  | None -> None
+  | Some pattern ->
+    Dfv_obs.Metrics.incr m_screened;
+    let values = Aig.simulate g pattern in
+    Some (decode_params (Aig.lit_of_node_value values) param_shapes)
+
+let solve_miter ~sweep ~budget session param_shapes violated cstrs =
   let run sn b ps v cs =
     let act = Session.activation sn in
     List.iter (Session.guard sn act) cs;
     let outcome = Session.check ~assumptions:[ act ] ~budget:b sn v in
     let params =
       match outcome with
-      | Solver.Sat -> Some (decode_params sn ps)
+      | Solver.Sat -> Some (decode_params (Session.model_lit sn) ps)
       | Solver.Unsat | Solver.Unknown _ -> None
     in
     Session.retire sn act;
@@ -207,7 +246,7 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
       end
     in
     (match retry_budget with
-    | None -> (Solver.Unknown r, None, session)
+    | None -> (Solver.Unknown r, None, None)
     | Some b2 ->
       let g2, tr = Dfv_aig.Sweep.fraig (Session.graph session) in
       let tr_shape = function
@@ -217,8 +256,20 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
       let ps2 = List.map (fun (n, sh) -> (n, tr_shape sh)) param_shapes in
       let sn2 = Session.create ~graph:g2 ~budget:b2 () in
       let outcome, params = run sn2 b2 ps2 (tr violated) (List.map tr cstrs) in
-      (outcome, params, sn2))
-  | outcome, params -> (outcome, params, session)
+      (outcome, params, Some sn2))
+  | outcome, params -> (outcome, params, None)
+
+let decide_miter ~sweep ~budget session param_shapes violated cstrs =
+  match screen session param_shapes (violated :: cstrs) with
+  | Some params -> (Solver.Sat, Some params, None)
+  | None -> solve_miter ~sweep ~budget session param_shapes violated cstrs
+
+(* A verdict's stats: the session's, plus the retry session's if the
+   miter needed one. *)
+let decided_stats session retry t0 =
+  match retry with
+  | None -> stats_of session t0
+  | Some sn2 -> add_stats (stats_of session t0) (stats_of sn2 t0)
 
 (* Rebuild a full counterexample from the SLM argument assignment alone:
    re-run the SLM interpreter for the expected result and re-simulate
@@ -369,15 +420,16 @@ let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
   in
   let violated = Aig.or_list g diffs in
   let cstrs = constraint_words slm ~g param_shapes spec.constraints in
-  let outcome, params, dsession =
+  let outcome, params, retry =
     decide_miter ~sweep ~budget session param_shapes violated cstrs
   in
+  let stats () = decided_stats session retry t0 in
   match (outcome, params) with
-  | Solver.Unsat, _ -> Equivalent (stats_of dsession t0)
-  | Solver.Unknown r, _ -> Unknown (r, stats_of dsession t0)
+  | Solver.Unsat, _ -> Equivalent (stats ())
+  | Solver.Unknown r, _ -> Unknown (r, stats ())
   | Solver.Sat, None -> assert false
   | Solver.Sat, Some params ->
-    Not_equivalent (cex_of_params ~slm ~rtl ~spec params, stats_of dsession t0)
+    Not_equivalent (cex_of_params ~slm ~rtl ~spec params, stats ())
 
 (* --- SLM vs SLM -------------------------------------------------------- *)
 
@@ -410,12 +462,13 @@ let check_slm_slm ?(sweep = true) ?budget ?session ~a ~b ?(constraints = [])
       fail "result shapes differ"
   in
   let cstrs = constraint_words a ~g param_shapes constraints in
-  let outcome, params, dsession =
+  let outcome, params, retry =
     decide_miter ~sweep ~budget session param_shapes violated cstrs
   in
+  let stats () = decided_stats session retry t0 in
   match (outcome, params) with
-  | Solver.Unsat, _ -> Equivalent (stats_of dsession t0)
-  | Solver.Unknown r, _ -> Unknown (r, stats_of dsession t0)
+  | Solver.Unsat, _ -> Equivalent (stats ())
+  | Solver.Unknown r, _ -> Unknown (r, stats ())
   | Solver.Sat, None -> assert false
   | Solver.Sat, Some params ->
     let slm_result =
@@ -423,8 +476,7 @@ let check_slm_slm ?(sweep = true) ?budget ?session ~a ~b ?(constraints = [])
       | v -> Some v
       | exception Interp.Runtime_error _ -> None
     in
-    Not_equivalent
-      ({ params; slm_result; failed_checks = [] }, stats_of dsession t0)
+    Not_equivalent ({ params; slm_result; failed_checks = [] }, stats ())
 
 (* --- RTL vs RTL -------------------------------------------------------- *)
 
@@ -531,24 +583,6 @@ let check_rtl_rtl ?budget ?session ~a ~b ~bound () =
     end
   in
   frames 0
-
-(* Fold a base-case verdict's counters into an induction verdict's. *)
-let add_stats (b : stats) (s : stats) =
-  {
-    s with
-    aig_ands = s.aig_ands + b.aig_ands;
-    sat_conflicts = s.sat_conflicts + b.sat_conflicts;
-    sat_decisions = s.sat_decisions + b.sat_decisions;
-    sat_propagations = s.sat_propagations + b.sat_propagations;
-    sat_clauses = s.sat_clauses + b.sat_clauses;
-    learnts_removed = s.learnts_removed + b.learnts_removed;
-    nodes_encoded = s.nodes_encoded + b.nodes_encoded;
-    nodes_reused = s.nodes_reused + b.nodes_reused;
-    unroll_hits = s.unroll_hits + b.unroll_hits;
-    queries = s.queries + b.queries;
-    unknowns = s.unknowns + b.unknowns;
-    frame_seconds = b.frame_seconds @ s.frame_seconds;
-  }
 
 let prove_rtl_rtl ?budget ~a ~b ~k () =
   let t0 = now () in

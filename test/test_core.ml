@@ -299,6 +299,114 @@ let test_chain_plug_and_play_stages () =
   let rtl_out, _ = Dfv_cosim.Stream.run_stage rtl_stage pixels in
   check_bool "streams equal" true (Array.for_all2 Bitvec.equal slm_out rtl_out)
 
+(* --- simulation-first SEC ------------------------------------------------ *)
+
+let fir_pair ~taps ~cstyle =
+  let t = Fir.make ~taps () in
+  let slm = if cstyle then t.Fir.slm_cstyle else t.Fir.slm_exact in
+  Pair.create ~name:"fir" ~slm ~rtl:t.Fir.rtl ~spec:t.Fir.spec
+
+let fir_none () = fir_pair ~taps:[ 3; -5; 7; 2 ] ~cstyle:false
+let fir_hot_cstyle () = fir_pair ~taps:[ 127; 127; 127; -128 ] ~cstyle:true
+
+(* The planted bugs random simulation is sure to hit. *)
+let screened_pairs () =
+  List.map (fun b -> alu_pair ~bug:b ()) Alu.all_bugs
+  @ [ (let good = Conv_image.make ~kernel:Conv_image.sharpen ~shift:2 () in
+       let bad =
+         Conv_image.make ~clamped:false ~kernel:Conv_image.sharpen ~shift:2 ()
+       in
+       Pair.create ~name:"conv" ~slm:good.Conv_image.slm_window
+         ~rtl:bad.Conv_image.rtl_window ~spec:good.Conv_image.window_spec);
+      (let t = Uart.make ~baud_div:4 () in
+       Pair.create ~name:"uart" ~slm:t.Uart.slm
+         ~rtl:(Uart.make ~baud_div:5 ()).Uart.rtl ~spec:t.Uart.spec);
+      fir_hot_cstyle () ]
+
+let counter name = Dfv_obs.Metrics.(counter_value (counter name))
+
+(* Run [f] and return its result with the change of each named counter. *)
+let with_deltas names f =
+  let before = List.map counter names in
+  let r = f () in
+  (r, List.map2 (fun n b -> (n, counter n - b)) names before)
+
+let test_screen_refutes_without_sat () =
+  List.iter
+    (fun (pair : Pair.t) ->
+      let name = pair.Pair.name in
+      let v, d =
+        with_deltas [ "sat.solves"; "sec.screened" ] (fun () -> Flow.sec pair)
+      in
+      match v with
+      | Checker.Not_equivalent (cex, stats) ->
+        check_int (name ^ ": no SAT call") 0 (List.assoc "sat.solves" d);
+        check_int (name ^ ": screened") 1 (List.assoc "sec.screened" d);
+        check_int (name ^ ": no queries") 0 stats.Checker.queries;
+        check_int (name ^ ": no unknowns") 0 stats.Checker.unknowns;
+        check_bool (name ^ ": cex re-simulates") true
+          (cex.Checker.failed_checks <> [])
+      | Checker.Equivalent _ | Checker.Unknown _ ->
+        Alcotest.failf "%s: expected a counterexample" pair.Pair.name)
+    (screened_pairs ())
+
+let params_text params =
+  let value = function
+    | Interp.Vint bv -> Bitvec.to_string bv
+    | Interp.Varr a ->
+      String.concat "," (Array.to_list (Array.map Bitvec.to_string a))
+  in
+  String.concat ";" (List.map (fun (n, v) -> n ^ "=" ^ value v) params)
+
+let test_screen_deterministic () =
+  List.iter
+    (fun (pair : Pair.t) ->
+      let params () =
+        match Flow.sec pair with
+        | Checker.Not_equivalent (cex, _) -> params_text cex.Checker.params
+        | Checker.Equivalent _ | Checker.Unknown _ ->
+          Alcotest.failf "%s: expected a counterexample" pair.Pair.name
+      in
+      let first = params () in
+      Alcotest.(check string)
+        (pair.Pair.name ^ ": same params")
+        first (params ()))
+    (screened_pairs ())
+
+(* A retried verdict's stats count the direct attempt too, so they agree
+   with the metrics: fir/none needs the sweep retry. *)
+let test_retried_stats_match_metrics () =
+  let pair = fir_none () in
+  let v, d =
+    with_deltas [ "sec.queries"; "sec.unknowns" ] (fun () -> Flow.sec pair)
+  in
+  match v with
+  | Checker.Equivalent stats ->
+    check_int "queries = metric"
+      (List.assoc "sec.queries" d)
+      stats.Checker.queries;
+    check_int "unknowns = metric"
+      (List.assoc "sec.unknowns" d)
+      stats.Checker.unknowns;
+    check_int "direct attempt and retry" 2 stats.Checker.queries;
+    check_int "direct attempt ran out" 1 stats.Checker.unknowns
+  | Checker.Not_equivalent _ | Checker.Unknown _ ->
+    Alcotest.fail "fir/none should be equivalent"
+
+let span_count name =
+  List.length
+    (List.filter (fun (n, _, _, _) -> n = name) (Dfv_obs.Trace.events ()))
+
+let test_sec_phase_spans () =
+  Fun.protect ~finally:Dfv_obs.Trace.disable @@ fun () ->
+  Dfv_obs.Trace.enable ();
+  ignore (Flow.sec (fir_hot_cstyle ()));
+  check_int "screened: one screen span" 1 (span_count "sec.screen");
+  check_int "screened: no solve" 0 (span_count "sat.solve");
+  Dfv_obs.Trace.enable ();
+  ignore (Flow.sec (fir_none ()));
+  check_int "retried: one fraig span" 1 (span_count "aig.fraig")
+
 let suite =
   [ Alcotest.test_case "error taxonomy json roundtrip" `Quick
       test_error_json_roundtrip;
@@ -324,4 +432,11 @@ let suite =
       test_chain_incremental_localization;
     Alcotest.test_case "chain golden = slm" `Quick test_chain_golden_matches_slm;
     Alcotest.test_case "plug-and-play stages" `Quick
-      test_chain_plug_and_play_stages ]
+      test_chain_plug_and_play_stages;
+    Alcotest.test_case "screen refutes planted bugs without SAT" `Quick
+      test_screen_refutes_without_sat;
+    Alcotest.test_case "screened cex is deterministic" `Quick
+      test_screen_deterministic;
+    Alcotest.test_case "retried verdict stats match metrics" `Quick
+      test_retried_stats_match_metrics;
+    Alcotest.test_case "sec phase spans" `Quick test_sec_phase_spans ]

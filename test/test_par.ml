@@ -177,6 +177,25 @@ let test_portfolio_slm_rtl_cex () =
   | Ok (Checker.Unknown _) -> Alcotest.fail "mutant should be decided"
   | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
 
+(* A screened counterexample is the same whether the portfolio runs its
+   strategies in-process or across worker processes. *)
+let test_portfolio_slm_rtl_cex_jobs_invariant () =
+  let module Alu = Dfv_designs.Alu in
+  let t = Alu.make ~bug:(List.hd Alu.all_bugs) ~width:8 () in
+  let slm, rtl, spec = (t.Alu.slm, t.Alu.rtl, t.Alu.spec) in
+  let params jobs =
+    match Portfolio.check_slm_rtl ~jobs ~slm ~rtl ~spec () with
+    | Ok (Checker.Not_equivalent (cex, _)) ->
+      String.concat ";"
+        (List.map
+           (fun (n, v) ->
+             n ^ "=" ^ Dfv_bitvec.Bitvec.to_string (Dfv_hwir.Interp.as_int v))
+           cex.Checker.params)
+    | Ok _ -> Alcotest.fail "bug should be refuted"
+    | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
+  in
+  Alcotest.(check string) "params jobs=1 = jobs=2" (params 1) (params 2)
+
 let counter_rtl ~start =
   (* A 4-bit counter from [start]; two instances with different reset
      values diverge at frame 0 on the output. *)
@@ -858,6 +877,8 @@ let suite =
       test_portfolio_slm_rtl_equivalent;
     Alcotest.test_case "portfolio slm-rtl counterexample" `Quick
       test_portfolio_slm_rtl_cex;
+    Alcotest.test_case "portfolio cex invariant under jobs" `Quick
+      test_portfolio_slm_rtl_cex_jobs_invariant;
     Alcotest.test_case "portfolio rtl-rtl bounded equivalent" `Quick
       test_portfolio_rtl_rtl;
     Alcotest.test_case "portfolio rtl-rtl divergence" `Quick

@@ -221,14 +221,20 @@ let test_constraints_rescue_equivalence () =
     | _ -> Alcotest.fail "bad cex")
   | Checker.Equivalent _ -> Alcotest.fail "expected divergence"
   | Checker.Unknown _ -> Alcotest.fail "unexpected unknown");
-  (* Constrained to a < 128 (the paper's Section 3.1.2 remedy): equivalent. *)
+  (* Constrained to a < 128 (the paper's Section 3.1.2 remedy): equivalent.
+     The simulation screen sees lanes with a >= 128 that diverge, but
+     must not report them: they break the constraint. *)
   let spec =
     { base_spec with Spec.constraints = [ var "a" <^ u 8 128 ] }
   in
+  let screened = Dfv_obs.Metrics.counter "sec.screened" in
+  let before = Dfv_obs.Metrics.counter_value screened in
   match
     Checker.check_slm_rtl ~slm:slm_add ~rtl:(rtl_add_constrained ()) ~spec ()
   with
-  | Checker.Equivalent _ -> ()
+  | Checker.Equivalent _ ->
+    Alcotest.(check int) "nothing screened" before
+      (Dfv_obs.Metrics.counter_value screened)
   | Checker.Not_equivalent _ -> Alcotest.fail "constraint did not rescue"
   | Checker.Unknown _ -> Alcotest.fail "unexpected unknown"
 

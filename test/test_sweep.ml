@@ -119,6 +119,44 @@ let test_fraig_reduces_duplicated_logic () =
   check_bool "miter is constant false" true (sub diff = Aig.false_);
   check_bool "graph shrank" true (Aig.num_ands g' < before)
 
+(* The simulation screen: never a witness for an unsatisfiable root set,
+   and every witness it returns satisfies all roots. *)
+let test_witness_sound () =
+  let g = Aig.create () in
+  let a = Aig.input g and b = Aig.input g in
+  let ab = Aig.and_ g a b in
+  check_bool "contradiction" true (Sweep.witness g [ ab; Aig.not_ a ] = None);
+  check_bool "constant false" true (Sweep.witness g [ Aig.false_ ] = None);
+  let st = Random.State.make [| 4242 |] in
+  let found = ref 0 in
+  for _round = 1 to 20 do
+    let g = Aig.create () in
+    let ninputs = 2 + Random.State.int st 10 in
+    let pool = ref (List.init ninputs (fun _ -> Aig.input g)) in
+    for _ = 1 to 40 do
+      let pick () =
+        let l = List.nth !pool (Random.State.int st (List.length !pool)) in
+        if Random.State.bool st then Aig.not_ l else l
+      in
+      pool := Aig.and_ g (pick ()) (pick ()) :: !pool
+    done;
+    let nroots = 1 + Random.State.int st 3 in
+    let roots = List.filteri (fun i _ -> i < nroots) !pool in
+    match Sweep.witness g roots with
+    | None -> ()
+    | Some w ->
+      incr found;
+      check_int "one value per input" (Aig.num_inputs g) (Array.length w);
+      List.iter
+        (fun r ->
+          check_bool "witness satisfies root" true (Aig.eval g (Array.get w) r))
+        roots
+  done;
+  check_bool "some root sets have witnesses" true (!found > 0);
+  (* Deterministic: the same graph gives the same witness. *)
+  let roots = [ Aig.or_ g a b ] in
+  check_bool "repeatable" true (Sweep.witness g roots = Sweep.witness g roots)
+
 let suite =
   [ Alcotest.test_case "fraig preserves function" `Quick
       test_fraig_preserves_function;
@@ -129,4 +167,5 @@ let suite =
     Alcotest.test_case "fraig keeps inequivalent apart" `Quick
       test_fraig_keeps_inequivalent_apart;
     Alcotest.test_case "fraig reduces duplicated logic" `Quick
-      test_fraig_reduces_duplicated_logic ]
+      test_fraig_reduces_duplicated_logic;
+    Alcotest.test_case "witness is sound" `Quick test_witness_sound ]
