@@ -570,24 +570,30 @@ let c3 () =
   Printf.printf
     "per-block totals across the bug sweep: shared session %.3fs vs fresh %.3fs\n"
     !shared_grand !fresh_grand;
+  let ratio =
+    if !fresh_grand > 0.0 then !shared_grand /. !fresh_grand else 0.0
+  in
   write_bench "c3"
     [ ("rows", Dfv_obs.Json.List (List.rev !c3_rows));
       ("fresh_total_s", Dfv_obs.Json.Float !fresh_grand);
-      ("session_total_s", Dfv_obs.Json.Float !shared_grand) ];
+      ("session_total_s", Dfv_obs.Json.Float !shared_grand);
+      ("session_fresh_ratio", Dfv_obs.Json.Float ratio) ];
   (* Guard the point of the session layer: sharing the substrate must not
-     cost wall-clock vs the seed's fresh-solver-per-block behaviour (the
-     slack absorbs timer noise on these millisecond-scale queries). *)
+     cost much wall clock over the seed's fresh-solver-per-block behaviour
+     (1.5x plus 0.1s of slack, which absorbs timer noise on these
+     millisecond-scale queries). *)
   if !shared_grand > (!fresh_grand *. 1.5) +. 0.1 then begin
     Printf.printf
-      "REGRESSION: shared-session per-block SEC (%.3fs) is slower than \
-       fresh sessions (%.3fs)\n"
+      "REGRESSION: shared-session per-block SEC (%.3fs) exceeds 1.5x fresh \
+       sessions (%.3fs) + 0.1s\n"
       !shared_grand !fresh_grand;
     exit 1
   end;
-  print_endline
+  Printf.printf
     "shape check: per-block runs localize the planted bug by name, reuse a\n\
-     nonzero share of the encoding, and sharing one session costs no wall\n\
-     clock vs fresh per-block solvers."
+     nonzero share of the encoding, and one shared session takes %.2fx the\n\
+     wall clock of fresh per-block solvers (gate: <= 1.5x + 0.1s).\n"
+    ratio
 
 (* ---------------------------------------------------------------------- *)
 (* C4: int-based SLMs mask overflow; bit-accurate datatypes restore SEC    *)
@@ -1533,6 +1539,132 @@ let sim_throughput () =
     sim_throughput_min_ratio
 
 (* ---------------------------------------------------------------------- *)
+(* SAT_CORE: solver throughput on fixed instances, search pinned           *)
+(* ---------------------------------------------------------------------- *)
+
+(* Pigeonhole in the clause order of test_sat's builder: the golden
+   counts below depend on it. *)
+let pigeonhole pigeons holes =
+  let open Dfv_sat in
+  let s = Solver.create () in
+  let var =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> Solver.new_var s))
+  in
+  for i = 0 to pigeons - 1 do
+    Solver.add_clause s (List.init holes (fun j -> Lit.pos var.(i).(j)))
+  done;
+  for j = 0 to holes - 1 do
+    for i1 = 0 to pigeons - 1 do
+      for i2 = i1 + 1 to pigeons - 1 do
+        Solver.add_clause s [ Lit.neg var.(i1).(j); Lit.neg var.(i2).(j) ]
+      done
+    done
+  done;
+  s
+
+(* The instances and their golden (conflicts, decisions, propagations)
+   per run, recorded with the boxed-clause solver.  The SEC instances are
+   the direct 5000-conflict attempts of Flow.sec (a 5000-conflict budget
+   leaves nothing for the sweep retry), built in-process. *)
+let sat_core_instances =
+  let open Dfv_sat in
+  let php name p h ?learnt_limit ?budget golden =
+    ( name,
+      (fun () ->
+        let s = pigeonhole p h in
+        Option.iter (Solver.set_learnt_limit s) learnt_limit;
+        ignore (Solver.solve_budgeted ?budget s)),
+      golden )
+  in
+  let sec name pair golden =
+    let budget = { Solver.max_conflicts = Some 5000; max_seconds = None } in
+    (name, (fun () -> ignore (Dfv_core.Flow.sec ~budget (pair ()))), golden)
+  in
+  let fir taps () =
+    let t = Fir.make ~taps () in
+    Dfv_core.Pair.create ~name:"fir" ~slm:t.Fir.slm_exact ~rtl:t.Fir.rtl
+      ~spec:t.Fir.spec
+  in
+  let chain () =
+    let t = Image_chain.make () in
+    Dfv_core.Pair.create ~name:"chain" ~slm:t.Image_chain.slm
+      ~rtl:t.Image_chain.rtl_top ~spec:t.Image_chain.chain_spec
+  in
+  [ php "php(7,6)" 7 6 (672, 821, 8020);
+    php "php(9,8) @500" 9 8
+      ~budget:{ Solver.max_conflicts = Some 500; max_seconds = None }
+      (500, 725, 7378);
+    php "php(8,7) limit 64" 8 7 ~learnt_limit:64 (5252, 6289, 71815);
+    sec "fir/none @5000" (fir [ 3; -5; 7; 2 ]) (5000, 7493, 674101);
+    sec "fir-hot/none @5000"
+      (fir [ 127; 127; 127; -128 ])
+      (5000, 7489, 1221105);
+    sec "chain/none @5000" chain (5000, 7233, 2917277) ]
+
+let sat_core () =
+  header "SAT_CORE" "CDCL solver throughput on pinned instances"
+    "SEC quickly finds discrepancies: its speed is bought in the SAT engine";
+  let open Dfv_obs.Metrics in
+  let solve_us = histogram "sat.solve_us" in
+  let counts () =
+    let v n = counter_value (counter n) in
+    (v "sat.conflicts", v "sat.decisions", v "sat.propagations")
+  in
+  (* One run: the counter deltas and the time spent inside Solver calls
+     (elaboration and encoding of the SEC instances excluded). *)
+  let run f =
+    let (c0, d0, p0), t0 = (counts (), histogram_sum solve_us) in
+    f ();
+    let c1, d1, p1 = counts () in
+    ( (c1 - c0, d1 - d0, p1 - p0),
+      float_of_int (histogram_sum solve_us - t0) /. 1e6 )
+  in
+  let reps = 3 in
+  Printf.printf "  %-20s %8s %9s %10s %12s %12s  %s\n" "instance" "conflicts"
+    "decisions" "props" "props/s" "conflicts/s" "search";
+  let ok = ref true in
+  let rows =
+    List.map
+      (fun (name, f, golden) ->
+        let runs = List.init reps (fun _ -> run f) in
+        let counts = List.map fst runs in
+        let secs = List.sort compare (List.map snd runs) in
+        let t = List.nth secs (reps / 2) in
+        let c, d, p = List.hd counts in
+        let same = List.for_all (fun x -> x = golden) counts in
+        if not same then ok := false;
+        let per_s n = if t > 0.0 then float_of_int n /. t else 0.0 in
+        Printf.printf "  %-20s %8d %9d %10d %12.0f %12.0f  %s\n%!" name c d p
+          (per_s p) (per_s c)
+          (if same then "golden"
+           else
+             let gc, gd, gp = golden in
+             Printf.sprintf "DIFFERS (golden %d/%d/%d)" gc gd gp);
+        Dfv_obs.Json.(
+          Obj
+            [ ("instance", String name);
+              ("conflicts", Int c);
+              ("decisions", Int d);
+              ("propagations", Int p);
+              ("solve_s", Float t);
+              ("props_per_s", Float (per_s p));
+              ("conflicts_per_s", Float (per_s c));
+              ("golden", Bool same) ]))
+      sat_core_instances
+  in
+  write_bench "sat_core"
+    [ ("reps", Dfv_obs.Json.Int reps); ("instances", Dfv_obs.Json.List rows) ];
+  if not !ok then begin
+    print_endline
+      "REGRESSION: the solver's search differs from the golden trajectory \
+       (conflicts/decisions/propagations per instance)";
+    exit 1
+  end;
+  print_endline
+    "shape check: every instance repeats its golden search exactly; the\n\
+     rates are informational (the gate never reads the wall clock)."
+
+(* ---------------------------------------------------------------------- *)
 (* SERVE_CACHE: the dfv serve daemon answers repeats from cache            *)
 (* ---------------------------------------------------------------------- *)
 
@@ -1695,7 +1827,8 @@ let experiments =
   [ ("f1", f1); ("f2", f2); ("c1", c1); ("c2", c2); ("c3", c3);
     ("c3_incremental_sec", c3); ("c4", c4); ("c4_fault_robustness", c4f);
     ("c5", c5); ("c5_obs_overhead", c5o); ("c6", c6); ("c7", c7); ("c8", c8);
-    ("sim_throughput", sim_throughput); ("par_speedup", par_speedup);
+    ("sim_throughput", sim_throughput); ("sat_core", sat_core);
+    ("par_speedup", par_speedup);
     ("journal_overhead", journal_overhead); ("serve_cache", serve_cache) ]
 
 let () =

@@ -373,12 +373,23 @@ let test_screen_deterministic () =
         first (params ()))
     (screened_pairs ())
 
+(* The SAT work behind a verdict is pinned exactly: the solver's data
+   layout may change, its search may not (the counts were recorded with
+   the boxed-clause solver).  A drift here moves every budgeted
+   [Unknown] and so every serve cache key. *)
+let check_sat_work name d ~conflicts ~propagations =
+  check_int (name ^ ": sat.conflicts") conflicts (List.assoc "sat.conflicts" d);
+  check_int (name ^ ": sat.propagations") propagations
+    (List.assoc "sat.propagations" d)
+
 (* A retried verdict's stats count the direct attempt too, so they agree
    with the metrics: fir/none needs the sweep retry. *)
 let test_retried_stats_match_metrics () =
   let pair = fir_none () in
   let v, d =
-    with_deltas [ "sec.queries"; "sec.unknowns" ] (fun () -> Flow.sec pair)
+    with_deltas
+      [ "sec.queries"; "sec.unknowns"; "sat.conflicts"; "sat.propagations" ]
+      (fun () -> Flow.sec pair)
   in
   match v with
   | Checker.Equivalent stats ->
@@ -389,9 +400,26 @@ let test_retried_stats_match_metrics () =
       (List.assoc "sec.unknowns" d)
       stats.Checker.unknowns;
     check_int "direct attempt and retry" 2 stats.Checker.queries;
-    check_int "direct attempt ran out" 1 stats.Checker.unknowns
+    check_int "direct attempt ran out" 1 stats.Checker.unknowns;
+    check_sat_work "fir/none" d ~conflicts:10106 ~propagations:1310538
   | Checker.Not_equivalent _ | Checker.Unknown _ ->
     Alcotest.fail "fir/none should be equivalent"
+
+let test_chain_sat_work () =
+  let t = Image_chain.make () in
+  let pair =
+    Pair.create ~name:"chain" ~slm:t.Image_chain.slm
+      ~rtl:t.Image_chain.rtl_top ~spec:t.Image_chain.chain_spec
+  in
+  let v, d =
+    with_deltas [ "sat.conflicts"; "sat.propagations" ] (fun () ->
+        Flow.sec pair)
+  in
+  match v with
+  | Checker.Equivalent _ ->
+    check_sat_work "chain/none" d ~conflicts:14208 ~propagations:4559409
+  | Checker.Not_equivalent _ | Checker.Unknown _ ->
+    Alcotest.fail "chain/none should be equivalent"
 
 let span_count name =
   List.length
@@ -439,4 +467,5 @@ let suite =
       test_screen_deterministic;
     Alcotest.test_case "retried verdict stats match metrics" `Quick
       test_retried_stats_match_metrics;
+    Alcotest.test_case "chain sat work is pinned" `Quick test_chain_sat_work;
     Alcotest.test_case "sec phase spans" `Quick test_sec_phase_spans ]

@@ -363,6 +363,63 @@ let test_learnt_reduction () =
     | exception Invalid_argument _ -> true
     | () -> false)
 
+(* --- golden search trajectories ----------------------------------------
+   The solver's data layout may change, its search may not: a reordered
+   clause or watch list shows up here as a different conflict count long
+   before it flips a verdict or a budgeted [Unknown].  The counts were
+   recorded with the boxed-clause solver this layout replaced. *)
+
+let check_trajectory name s ~conflicts ~decisions ~propagations ~learnts =
+  let check_int what = Alcotest.check Alcotest.int (name ^ ": " ^ what) in
+  check_int "conflicts" conflicts (Solver.nconflicts s);
+  check_int "decisions" decisions (Solver.ndecisions s);
+  check_int "propagations" propagations (Solver.npropagations s);
+  check_int "learnts" learnts (Solver.nlearnts s)
+
+let test_golden_unbounded () =
+  let s = pigeonhole 7 6 in
+  check_res "php(7,6) unsat" false (is_sat (Solver.solve s));
+  check_trajectory "php(7,6)" s ~conflicts:672 ~decisions:821
+    ~propagations:8020 ~learnts:667
+
+let test_golden_budgeted () =
+  let s = pigeonhole 9 8 in
+  (match
+     Solver.solve_budgeted
+       ~budget:{ Solver.max_conflicts = Some 500; max_seconds = None }
+       s
+   with
+  | Solver.Unknown Solver.Conflict_limit -> ()
+  | Solver.Unknown Solver.Time_limit | Solver.Sat | Solver.Unsat ->
+    Alcotest.fail "php(9,8) should run out of its 500 conflicts");
+  check_trajectory "php(9,8) @500" s ~conflicts:500 ~decisions:725
+    ~propagations:7378 ~learnts:499
+
+(* A tiny learnt limit makes reduction fire dozens of times. *)
+let test_golden_reduction () =
+  let s = pigeonhole 8 7 in
+  Solver.set_learnt_limit s 64;
+  check_res "php(8,7) unsat" false (is_sat (Solver.solve s));
+  check_trajectory "php(8,7) limit 64" s ~conflicts:5252 ~decisions:6289
+    ~propagations:71815 ~learnts:2085;
+  Alcotest.check Alcotest.int "php(8,7) limit 64: removed" 3162
+    (Solver.nlearnts_removed s)
+
+(* Reduction at a restart under assumptions keeps the assumption levels'
+   implied literals, whose reasons must follow their clauses to the
+   compacted ids: a stale reason trips the solver's reason check. *)
+let test_golden_reduction_assumptions () =
+  let s = pigeonhole 8 7 in
+  Solver.set_learnt_limit s 64;
+  (* Pigeon 0 sits in hole 0, pigeon 1 in hole 1 (variable 7i + j). *)
+  let assumptions = [ Lit.pos 0; Lit.pos 8 ] in
+  check_res "php(8,7) under assumptions unsat" false
+    (is_sat (Solver.solve ~assumptions s));
+  check_trajectory "php(8,7) limit 64, assumptions" s ~conflicts:150
+    ~decisions:190 ~propagations:2416 ~learnts:99;
+  Alcotest.check Alcotest.int "php(8,7) limit 64, assumptions: removed" 50
+    (Solver.nlearnts_removed s)
+
 let test_interleaved_sessions () =
   (* The access pattern of an equivalence session: add_clause / solve /
      solve ~assumptions interleaved on one solver, with assumption-scoped
@@ -418,6 +475,14 @@ let suite =
       Alcotest.test_case "budgeted wall clock" `Quick test_budgeted_time;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
       Alcotest.test_case "learnt DB reduction" `Quick test_learnt_reduction;
+      Alcotest.test_case "golden trajectory: unbounded" `Quick
+        test_golden_unbounded;
+      Alcotest.test_case "golden trajectory: budgeted" `Quick
+        test_golden_budgeted;
+      Alcotest.test_case "golden trajectory: learnt reduction" `Quick
+        test_golden_reduction;
+      Alcotest.test_case "golden trajectory: reduction under assumptions"
+        `Quick test_golden_reduction_assumptions;
       Alcotest.test_case "interleaved incremental sessions" `Quick
         test_interleaved_sessions;
       Alcotest.test_case "dimacs offset load" `Quick test_dimacs_offset_load ]
