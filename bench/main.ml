@@ -1562,23 +1562,65 @@ let pigeonhole pigeons holes =
   done;
   s
 
-(* The instances and their golden (conflicts, decisions, propagations)
-   per run, recorded with the boxed-clause solver.  The SEC instances are
-   the direct 5000-conflict attempts of Flow.sec (a 5000-conflict budget
-   leaves nothing for the sweep retry), built in-process. *)
+(* The pairwise SAT calls and merges of the last [Sweep.fraig], read
+   from its summary instant (the trace must be on). *)
+let last_sweep_summary () =
+  let events =
+    match Dfv_obs.Trace.raw_json () with Dfv_obs.Json.List evs -> evs | _ -> []
+  in
+  let summary =
+    List.fold_left
+      (fun acc ev ->
+        match Dfv_obs.Json.field "name" ev with
+        | Some (Dfv_obs.Json.String "aig.fraig.done") ->
+          Dfv_obs.Json.field "args" ev
+        | _ -> acc)
+      None events
+  in
+  let arg name =
+    match Option.bind summary (Dfv_obs.Json.field name) with
+    | Some (Dfv_obs.Json.Int n) -> n
+    | _ -> -1
+  in
+  (arg "sat_calls", arg "merges")
+
+(* One pinned instance: its golden (conflicts, decisions, propagations)
+   per run and, for a sweep, the golden (pairwise SAT calls, merges). *)
+type sat_core_instance = {
+  inst : string;
+  go : unit -> unit;
+  golden : int * int * int;
+  sweep_golden : (int * int) option;
+}
+
+(* The php counts were recorded with the boxed-clause solver.  The SEC
+   instances are the direct 5000-conflict attempts of the checker
+   (sweeping off, so the whole budget goes to the one query) and the
+   cone sweep that proves chain/none at the default budget, built
+   in-process. *)
 let sat_core_instances =
   let open Dfv_sat in
-  let php name p h ?learnt_limit ?budget golden =
-    ( name,
-      (fun () ->
-        let s = pigeonhole p h in
-        Option.iter (Solver.set_learnt_limit s) learnt_limit;
-        ignore (Solver.solve_budgeted ?budget s)),
-      golden )
+  let php inst p h ?learnt_limit ?budget golden =
+    {
+      inst;
+      go =
+        (fun () ->
+          let s = pigeonhole p h in
+          Option.iter (Solver.set_learnt_limit s) learnt_limit;
+          ignore (Solver.solve_budgeted ?budget s));
+      golden;
+      sweep_golden = None;
+    }
   in
-  let sec name pair golden =
+  let direct inst pair golden =
     let budget = { Solver.max_conflicts = Some 5000; max_seconds = None } in
-    (name, (fun () -> ignore (Dfv_core.Flow.sec ~budget (pair ()))), golden)
+    let go () =
+      let p : Dfv_core.Pair.t = pair () in
+      ignore
+        (Checker.check_slm_rtl ~sweep:false ~budget ~slm:p.Dfv_core.Pair.slm
+           ~rtl:p.Dfv_core.Pair.rtl ~spec:p.Dfv_core.Pair.spec ())
+    in
+    { inst; go; golden; sweep_golden = None }
   in
   let fir taps () =
     let t = Fir.make ~taps () in
@@ -1595,11 +1637,19 @@ let sat_core_instances =
       ~budget:{ Solver.max_conflicts = Some 500; max_seconds = None }
       (500, 725, 7378);
     php "php(8,7) limit 64" 8 7 ~learnt_limit:64 (5252, 6289, 71815);
-    sec "fir/none @5000" (fir [ 3; -5; 7; 2 ]) (5000, 7493, 674101);
-    sec "fir-hot/none @5000"
+    direct "fir/none @5000" (fir [ 3; -5; 7; 2 ]) (5000, 7493, 674101);
+    direct "fir-hot/none @5000"
       (fir [ 127; 127; 127; -128 ])
       (5000, 7489, 1221105);
-    sec "chain/none @5000" chain (5000, 7233, 2917277) ]
+    direct "chain/none @5000" chain (5000, 7233, 2917277);
+    (* The whole verdict (probe, sweep, re-solve); the sweep's own work
+       is pinned by its pairwise calls and merges. *)
+    {
+      inst = "chain/none sweep";
+      go = (fun () -> ignore (Dfv_core.Flow.sec (chain ())));
+      golden = (9348, 11951, 1637945);
+      sweep_golden = Some (1349, 1349);
+    } ]
 
 let sat_core () =
   header "SAT_CORE" "CDCL solver throughput on pinned instances"
@@ -1610,14 +1660,19 @@ let sat_core () =
     let v n = counter_value (counter n) in
     (v "sat.conflicts", v "sat.decisions", v "sat.propagations")
   in
-  (* One run: the counter deltas and the time spent inside Solver calls
-     (elaboration and encoding of the SEC instances excluded). *)
-  let run f =
+  (* One run: the counter deltas, the sweep summary if the instance has
+     one, and the time spent inside Solver calls (elaboration and
+     encoding of the SEC instances excluded). *)
+  let run i =
+    let traced = Option.is_some i.sweep_golden in
+    if traced then Dfv_obs.Trace.enable ();
     let (c0, d0, p0), t0 = (counts (), histogram_sum solve_us) in
-    f ();
+    i.go ();
     let c1, d1, p1 = counts () in
-    ( (c1 - c0, d1 - d0, p1 - p0),
-      float_of_int (histogram_sum solve_us - t0) /. 1e6 )
+    let t = float_of_int (histogram_sum solve_us - t0) /. 1e6 in
+    let sweep = if traced then Some (last_sweep_summary ()) else None in
+    if traced then Dfv_obs.Trace.disable ();
+    (((c1 - c0, d1 - d0, p1 - p0), sweep), t)
   in
   let reps = 3 in
   Printf.printf "  %-20s %8s %9s %10s %12s %12s  %s\n" "instance" "conflicts"
@@ -1625,31 +1680,48 @@ let sat_core () =
   let ok = ref true in
   let rows =
     List.map
-      (fun (name, f, golden) ->
-        let runs = List.init reps (fun _ -> run f) in
+      (fun i ->
+        let runs = List.init reps (fun _ -> run i) in
         let counts = List.map fst runs in
         let secs = List.sort compare (List.map snd runs) in
         let t = List.nth secs (reps / 2) in
-        let c, d, p = List.hd counts in
-        let same = List.for_all (fun x -> x = golden) counts in
+        let (c, d, p), sweep = List.hd counts in
+        let same =
+          List.for_all (fun x -> x = (i.golden, i.sweep_golden)) counts
+        in
         if not same then ok := false;
         let per_s n = if t > 0.0 then float_of_int n /. t else 0.0 in
-        Printf.printf "  %-20s %8d %9d %10d %12.0f %12.0f  %s\n%!" name c d p
-          (per_s p) (per_s c)
+        let sweep_text = function
+          | Some (calls, merges) ->
+            Printf.sprintf ", sweep %d calls/%d merges" calls merges
+          | None -> ""
+        in
+        Printf.printf "  %-20s %8d %9d %10d %12.0f %12.0f  %s%s\n%!" i.inst c d
+          p (per_s p) (per_s c)
           (if same then "golden"
            else
-             let gc, gd, gp = golden in
-             Printf.sprintf "DIFFERS (golden %d/%d/%d)" gc gd gp);
+             let gc, gd, gp = i.golden in
+             Printf.sprintf "DIFFERS (golden %d/%d/%d%s)" gc gd gp
+               (sweep_text i.sweep_golden))
+          (sweep_text sweep);
+        let sweep_fields =
+          match sweep with
+          | Some (calls, merges) ->
+            Dfv_obs.Json.
+              [ ("sweep_sat_calls", Int calls); ("sweep_merges", Int merges) ]
+          | None -> []
+        in
         Dfv_obs.Json.(
           Obj
-            [ ("instance", String name);
-              ("conflicts", Int c);
-              ("decisions", Int d);
-              ("propagations", Int p);
-              ("solve_s", Float t);
-              ("props_per_s", Float (per_s p));
-              ("conflicts_per_s", Float (per_s c));
-              ("golden", Bool same) ]))
+            ([ ("instance", String i.inst);
+               ("conflicts", Int c);
+               ("decisions", Int d);
+               ("propagations", Int p) ]
+            @ sweep_fields
+            @ [ ("solve_s", Float t);
+                ("props_per_s", Float (per_s p));
+                ("conflicts_per_s", Float (per_s c));
+                ("golden", Bool same) ])))
       sat_core_instances
   in
   write_bench "sat_core"
@@ -1657,7 +1729,8 @@ let sat_core () =
   if not !ok then begin
     print_endline
       "REGRESSION: the solver's search differs from the golden trajectory \
-       (conflicts/decisions/propagations per instance)";
+       (conflicts/decisions/propagations per instance, pairwise calls and \
+       merges of the sweep)";
     exit 1
   end;
   print_endline

@@ -20,6 +20,11 @@ type state = {
   solver : S.t;
   enc : Aig.cnf_map;
   max_conflicts : int;
+  deadline : float option; (* absolute wall clock for pairwise queries *)
+  mutable expired : bool; (* the deadline passed: prove nothing more *)
+  mutable calls : int; (* pairwise SAT queries issued *)
+  mutable merges : int;
+  mutable undecided : int; (* queries that ran out of budget *)
   mutable sig_words : int array array;
       (* per g' node; [||] = not yet computed *)
   mutable bits_used : int; (* filled bits of the newest word *)
@@ -136,6 +141,29 @@ let refine st pattern =
   done;
   rebuild_classes st
 
+(* One pairwise query under the per-pair conflict budget and whatever
+   the deadline leaves; [None] when undecided.  A deadline that has
+   passed issues no query and ends the proving for good. *)
+let query st ml =
+  let max_seconds =
+    Option.map (fun d -> d -. Unix.gettimeofday ()) st.deadline
+  in
+  if Option.fold ~none:false ~some:(fun s -> s <= 0.) max_seconds then begin
+    st.expired <- true;
+    None
+  end
+  else begin
+    st.calls <- st.calls + 1;
+    let budget = { S.max_conflicts = Some st.max_conflicts; max_seconds } in
+    match S.solve_budgeted ~assumptions:[ ml ] ~budget st.solver with
+    | S.Sat -> Some (S.Sat : S.result)
+    | S.Unsat -> Some (S.Unsat : S.result)
+    | S.Unknown r ->
+      st.undecided <- st.undecided + 1;
+      if r = S.Time_limit then st.expired <- true;
+      None
+  end
+
 (* Decide equivalence of two g' literals; on refutation, refine. *)
 let prove_equal st a b =
   if a = b then true
@@ -146,10 +174,7 @@ let prove_equal st a b =
     else if miter = Aig.true_ then false
     else begin
       let ml = Aig.encode st.enc miter in
-      match
-        S.solve_bounded ~assumptions:[ ml ] ~max_conflicts:st.max_conflicts
-          st.solver
-      with
+      match query st ml with
       | Some S.Unsat ->
         S.add_clause st.solver [ L.negate ml ];
         true
@@ -170,9 +195,30 @@ let prove_equal st a b =
     end
   end
 
-let fraig ?(max_conflicts = 1000) g =
+(* The nodes of [g] in the cone of influence of [roots]: fanins have
+   smaller ids, so one descending pass marks the whole cone. *)
+let cone g roots =
+  let n = Aig.num_nodes g in
+  let mark = Array.make (max 1 n) false in
+  List.iter (fun l -> mark.(l lsr 1) <- true) roots;
+  for node = n - 1 downto 1 do
+    if mark.(node) then
+      match Aig.node_fanins g node with
+      | Some (a, b) ->
+        mark.(a lsr 1) <- true;
+        mark.(b lsr 1) <- true
+      | None -> ()
+  done;
+  mark
+
+let fraig ?(max_conflicts = 1000) ?deadline ?roots g =
   Dfv_obs.Trace.with_span ~cat:"aig" "aig.fraig" @@ fun () ->
   let n = Aig.num_nodes g in
+  let in_cone =
+    match roots with
+    | Some roots -> cone g roots
+    | None -> Array.make (max 1 n) true
+  in
   let g' = Aig.create () in
   let solver = S.create () in
   let st =
@@ -181,6 +227,11 @@ let fraig ?(max_conflicts = 1000) g =
       solver;
       enc = Aig.encoder g' solver;
       max_conflicts;
+      deadline;
+      expired = false;
+      calls = 0;
+      merges = 0;
+      undecided = 0;
       sig_words = Array.make (max 64 n) [||];
       bits_used = 62;
       classes = Hashtbl.create 1024;
@@ -193,7 +244,7 @@ let fraig ?(max_conflicts = 1000) g =
   let map = Array.make (max 1 n) Aig.false_ in
   let sub l = map.(l lsr 1) lxor (l land 1) in
   let classify node l =
-    if Aig.is_const l then map.(node) <- l
+    if Aig.is_const l || st.expired then map.(node) <- l
     else begin
       let s = get_lit_sig st l in
       let phase = phase_of s in
@@ -213,31 +264,48 @@ let fraig ?(max_conflicts = 1000) g =
           map.(node) <- l
         | rep :: _ ->
           if rep = canon_lit then map.(node) <- l
-          else if prove_equal st canon_lit rep then map.(node) <- rep lxor phase
+          else if prove_equal st canon_lit rep then begin
+            st.merges <- st.merges + 1;
+            map.(node) <- rep lxor phase
+          end
+          else if st.expired then map.(node) <- l
           else try_reps (rep :: tried)
       in
       try_reps []
     end
   in
+  let cone_nodes = ref 0 in
   for node = 0 to n - 1 do
+    let swept = in_cone.(node) in
+    if swept then incr cone_nodes;
     match Aig.node_fanins g node with
     | None -> (
       match Aig.node_input g node with
       | Some _ ->
         let l = Aig.input g' in
-        let node' = l lsr 1 in
-        ensure_capacity st node';
-        let len = sig_length st in
-        let s = Array.init len (fun _ -> random_word st.rnd) in
-        s.(len - 1) <- s.(len - 1) land ((1 lsl st.bits_used) - 1);
-        st.sig_words.(node') <- s;
         map.(node) <- l;
-        register st (canon_of s) (l lxor phase_of s)
+        if swept then begin
+          let node' = l lsr 1 in
+          ensure_capacity st node';
+          let len = sig_length st in
+          let s = Array.init len (fun _ -> random_word st.rnd) in
+          s.(len - 1) <- s.(len - 1) land ((1 lsl st.bits_used) - 1);
+          st.sig_words.(node') <- s;
+          register st (canon_of s) (l lxor phase_of s)
+        end
       | None -> map.(node) <- Aig.false_)
     | Some (a, b) ->
       let l = Aig.and_ g' (sub a) (sub b) in
-      classify node l
+      if swept then classify node l else map.(node) <- l
   done;
+  Dfv_obs.Trace.instant ~cat:"aig"
+    ~args:
+      Dfv_obs.Json.
+        [ ("cone_nodes", Int !cone_nodes);
+          ("sat_calls", Int st.calls);
+          ("merges", Int st.merges);
+          ("undecided", Int st.undecided) ]
+    "aig.fraig.done";
   (g', sub)
 
 (* Random simulation screen: the first of [sim_words] seeded words with

@@ -14,12 +14,31 @@
     {!fraig} rebuilds the graph with all proven-equivalent nodes merged
     and returns a literal translation into the new graph. *)
 
-val fraig : ?max_conflicts:int -> Aig.t -> Aig.t * (Aig.lit -> Aig.lit)
+val fraig :
+  ?max_conflicts:int ->
+  ?deadline:float ->
+  ?roots:Aig.lit list ->
+  Aig.t ->
+  Aig.t * (Aig.lit -> Aig.lit)
 (** [fraig g] returns [(g', sub)] where [sub] maps any literal of [g] to
     an equivalent literal of [g'].  16 seeded 62-bit random pattern
     words (992 patterns) drive candidate detection;
     [max_conflicts] bounds each pairwise SAT query (default 1000 —
-    undecided pairs are left unmerged, so the result is always sound). *)
+    undecided pairs are left unmerged, so the result is always sound).
+
+    [roots] restricts the sweep to their cone of influence: only nodes
+    the roots depend on are classified and proved; every other node is
+    copied structurally, so [sub] stays total and sound.  Without
+    [roots] the whole graph is swept.  The inputs of [g'] are those of
+    [g], in the same order.
+
+    [deadline] is an absolute [Unix.gettimeofday] time.  Each pairwise
+    query gets the seconds that remain; once none remain, proving stops
+    and the remaining nodes are copied structurally (no merge is ever
+    made without a proof).
+
+    On return an [aig.fraig.done] trace instant records the sweep's
+    [cone_nodes], [sat_calls], [merges] and [undecided] queries. *)
 
 val witness : Aig.t -> Aig.lit list -> bool array option
 (** Random simulation screen.  [witness g roots] simulates 16 seeded

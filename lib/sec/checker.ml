@@ -156,13 +156,20 @@ let constraint_words slm ~g param_shapes constraints =
       them hold is a counterexample found without any SAT call; its
       parameters are decoded from that lane, and the caller re-simulates
       them like any other cex.  Most planted bugs fall here.
-   2. Direct: the query in the session with a bounded conflict budget —
-      cheap miters finish immediately.
-   3. If that budget runs out, SAT-sweep the graph (merging internally
-      equivalent nodes so structural differences between the two sides
-      collapse locally) and re-solve in a throwaway session on the swept
-      graph, under whatever budget remains.  [sweep:false] disables this
-      fallback, for ablation measurements.
+   2. Direct probe: the query in the session under at most
+      [direct_budget] conflicts — cheap miters (most clean pairs with
+      little internal structure to rediscover) finish here.
+   3. If the probe runs out, SAT-sweep the cone of the violation and
+      the side constraints ({!Dfv_aig.Sweep.fraig} with [~roots]),
+      merging internally equivalent nodes so structural differences
+      between the two sides collapse locally, and re-solve in a
+      throwaway session on the swept graph under the caller's budget.
+      For the hard EQ proofs this sweep is the main path: the re-solve
+      usually finds the miter constant.  The sweep's pairwise queries
+      share the caller's wall-clock deadline; the retry runs only while
+      conflicts (a conflict budget above the probe's) and time remain.
+      [sweep:false] disables the probe limit and the sweep, for
+      ablation measurements.
 
    The query's side constraints are guarded by an activation literal so
    they evaporate from the session afterwards; the model (if any) is
@@ -170,7 +177,7 @@ let constraint_words slm ~g param_shapes constraints =
    since retiring invalidates the model.  The result carries the
    throwaway session, if one ran, so the verdict's stats can count both
    attempts. *)
-let direct_budget = 5_000
+let direct_budget = 1_000
 
 let m_screened = Dfv_obs.Metrics.counter "sec.screened"
 
@@ -229,34 +236,31 @@ let solve_miter ~sweep ~budget session param_shapes violated cstrs =
   match run session first_budget param_shapes violated cstrs with
   | (Solver.Unknown r, _) when sweep ->
     (* Retry on the swept graph only with budget left to spend. *)
-    let retry_budget =
-      let conflicts_left =
-        match (r, budget.Solver.max_conflicts) with
-        | Solver.Conflict_limit, Some n -> n > direct_budget
-        | (Solver.Conflict_limit | Solver.Time_limit), _ -> true
-      in
-      if not conflicts_left then None
-      else begin
-        match deadline with
-        | None -> Some budget
-        | Some d ->
-          let left = d -. now () in
-          if left <= 0. then None
-          else Some { budget with Solver.max_seconds = Some left }
-      end
+    let conflicts_left =
+      match (r, budget.Solver.max_conflicts) with
+      | Solver.Conflict_limit, Some n -> n > direct_budget
+      | (Solver.Conflict_limit | Solver.Time_limit), _ -> true
     in
-    (match retry_budget with
-    | None -> (Solver.Unknown r, None, None)
-    | Some b2 ->
-      let g2, tr = Dfv_aig.Sweep.fraig (Session.graph session) in
+    let seconds_left () =
+      Option.map (fun d -> Float.max 0. (d -. now ())) deadline
+    in
+    if not conflicts_left || seconds_left () = Some 0. then
+      (Solver.Unknown r, None, None)
+    else begin
+      let g2, tr =
+        Dfv_aig.Sweep.fraig ?deadline ~roots:(violated :: cstrs)
+          (Session.graph session)
+      in
       let tr_shape = function
         | Elab.Word w -> Elab.Word (Array.map tr w)
         | Elab.Bank b -> Elab.Bank (Array.map (Array.map tr) b)
       in
       let ps2 = List.map (fun (n, sh) -> (n, tr_shape sh)) param_shapes in
+      let b2 = { budget with Solver.max_seconds = seconds_left () } in
       let sn2 = Session.create ~graph:g2 ~budget:b2 () in
       let outcome, params = run sn2 b2 ps2 (tr violated) (List.map tr cstrs) in
-      (outcome, params, Some sn2))
+      (outcome, params, Some sn2)
+    end
   | outcome, params -> (outcome, params, None)
 
 let decide_miter ~sweep ~budget session param_shapes violated cstrs =

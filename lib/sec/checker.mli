@@ -77,6 +77,11 @@ val cex_of_params :
     {!Dfv_par.Portfolio}) can ship just the parameter bitvectors over
     its result pipe and the parent reconstructs the rest here. *)
 
+val direct_budget : int
+(** Conflict limit of the direct probe that precedes the sweep (1000).
+    A conflict budget at or below it leaves nothing for the sweep, so
+    the probe's [Unknown] stands. *)
+
 val check_slm_rtl :
   ?sweep:bool ->
   ?budget:Dfv_sat.Solver.budget ->
@@ -91,9 +96,13 @@ val check_slm_rtl :
     checker raises {!Dfv_hwir.Elab.Not_synthesizable} otherwise — the
     tool-flow consequence of violating the Section 4.3 guidelines.
 
-    Solving is a portfolio: a bounded direct attempt first, then SAT
-    sweeping ({!Dfv_aig.Sweep}) plus a query under whatever budget
-    remains; [sweep:false] disables the sweeping fallback (for ablation
+    Solving is a portfolio: a random-simulation screen, then a direct
+    probe of at most {!direct_budget} conflicts, then SAT sweeping of
+    the miter's cone ({!Dfv_aig.Sweep.fraig}) and a re-solve on the
+    swept graph.  The sweep runs only with budget left: a conflict
+    budget above the probe's, and time before the [max_seconds]
+    deadline, which also bounds the sweep's own queries.
+    [sweep:false] disables the sweeping fallback (for ablation
     measurements), making the direct attempt use the full budget.
 
     [session] shares the solving substrate with other calls (per-block

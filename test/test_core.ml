@@ -374,9 +374,10 @@ let test_screen_deterministic () =
     (screened_pairs ())
 
 (* The SAT work behind a verdict is pinned exactly: the solver's data
-   layout may change, its search may not (the counts were recorded with
-   the boxed-clause solver).  A drift here moves every budgeted
-   [Unknown] and so every serve cache key. *)
+   layout may change, its search may not (the counts cover the
+   1000-conflict direct probe plus the cone sweep's pairwise queries and
+   the re-solve).  A drift here moves every budgeted [Unknown] and so
+   every serve cache key. *)
 let check_sat_work name d ~conflicts ~propagations =
   check_int (name ^ ": sat.conflicts") conflicts (List.assoc "sat.conflicts" d);
   check_int (name ^ ": sat.propagations") propagations
@@ -401,7 +402,7 @@ let test_retried_stats_match_metrics () =
       stats.Checker.unknowns;
     check_int "direct attempt and retry" 2 stats.Checker.queries;
     check_int "direct attempt ran out" 1 stats.Checker.unknowns;
-    check_sat_work "fir/none" d ~conflicts:10106 ~propagations:1310538
+    check_sat_work "fir/none" d ~conflicts:2220 ~propagations:277632
   | Checker.Not_equivalent _ | Checker.Unknown _ ->
     Alcotest.fail "fir/none should be equivalent"
 
@@ -417,7 +418,7 @@ let test_chain_sat_work () =
   in
   match v with
   | Checker.Equivalent _ ->
-    check_sat_work "chain/none" d ~conflicts:14208 ~propagations:4559409
+    check_sat_work "chain/none" d ~conflicts:9348 ~propagations:1637945
   | Checker.Not_equivalent _ | Checker.Unknown _ ->
     Alcotest.fail "chain/none should be equivalent"
 
@@ -434,6 +435,26 @@ let test_sec_phase_spans () =
   Dfv_obs.Trace.enable ();
   ignore (Flow.sec (fir_none ()));
   check_int "retried: one fraig span" 1 (span_count "aig.fraig")
+
+(* A conflict budget no larger than the direct probe leaves nothing for
+   the sweep: fir/none, which needs the sweep, stays Unknown and no
+   sweep runs. *)
+let test_probe_budget_no_sweep () =
+  Fun.protect ~finally:Dfv_obs.Trace.disable @@ fun () ->
+  Dfv_obs.Trace.enable ();
+  let budget =
+    {
+      Dfv_sat.Solver.max_conflicts = Some Checker.direct_budget;
+      max_seconds = None;
+    }
+  in
+  (match Flow.sec ~budget (fir_none ()) with
+  | Checker.Unknown (Dfv_sat.Solver.Conflict_limit, stats) ->
+    check_int "one query" 1 stats.Checker.queries
+  | Checker.Unknown (Dfv_sat.Solver.Time_limit, _)
+  | Checker.Equivalent _ | Checker.Not_equivalent _ ->
+    Alcotest.fail "fir/none at the probe budget should run out of conflicts");
+  check_int "no fraig span" 0 (span_count "aig.fraig")
 
 let suite =
   [ Alcotest.test_case "error taxonomy json roundtrip" `Quick
@@ -468,4 +489,6 @@ let suite =
     Alcotest.test_case "retried verdict stats match metrics" `Quick
       test_retried_stats_match_metrics;
     Alcotest.test_case "chain sat work is pinned" `Quick test_chain_sat_work;
-    Alcotest.test_case "sec phase spans" `Quick test_sec_phase_spans ]
+    Alcotest.test_case "sec phase spans" `Quick test_sec_phase_spans;
+    Alcotest.test_case "probe-sized budget skips the sweep" `Quick
+      test_probe_budget_no_sweep ]

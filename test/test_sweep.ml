@@ -37,6 +37,21 @@ let test_fraig_preserves_function () =
           let b = Aig.lit_of_node_value v' (sub r) in
           if a <> b then Alcotest.fail "fraig changed a root's function")
         roots
+    done;
+    (* A cone sweep from a few of the nodes: every literal, in the cone
+       or copied outside it, keeps its function. *)
+    let cone_roots =
+      List.filteri (fun i _ -> i mod 7 = Random.State.int st 7) !pool
+    in
+    let g', sub = Sweep.fraig ~roots:cone_roots g in
+    for _ = 1 to 50 do
+      let assignment = Array.init ninputs (fun _ -> Random.State.bool st) in
+      List.iter
+        (fun l ->
+          if Aig.eval g (Array.get assignment) l
+             <> Aig.eval g' (Array.get assignment) (sub l)
+          then Alcotest.fail "cone fraig changed a literal's function")
+        !pool
     done
   done
 
@@ -119,6 +134,89 @@ let test_fraig_reduces_duplicated_logic () =
   check_bool "miter is constant false" true (sub diff = Aig.false_);
   check_bool "graph shrank" true (Aig.num_ands g' < before)
 
+let solves () = Dfv_obs.Metrics.(counter_value (counter "sat.solves"))
+
+(* Run [f] and return its result with the sat.solves delta. *)
+let counting_solves f =
+  let before = solves () in
+  let r = f () in
+  (r, solves () - before)
+
+(* [(a & b) & c] and [a & (b & c)] over three fresh inputs: equivalent,
+   structurally different. *)
+let assoc_pair g =
+  let a = Aig.input g and b = Aig.input g and c = Aig.input g in
+  (Aig.and_ g (Aig.and_ g a b) c, Aig.and_ g a (Aig.and_ g b c))
+
+let test_fraig_cone_only () =
+  let g = Aig.create () in
+  let x1, y1 = assoc_pair g in
+  let x2, y2 = assoc_pair g in
+  let (_, whole), whole_solves = counting_solves (fun () -> Sweep.fraig g) in
+  check_bool "whole sweep merges the first pair" true (whole x1 = whole y1);
+  check_bool "whole sweep merges the second pair" true (whole x2 = whole y2);
+  Fun.protect ~finally:Dfv_obs.Trace.disable @@ fun () ->
+  Dfv_obs.Trace.enable ();
+  let (_, sub), cone_solves =
+    counting_solves (fun () -> Sweep.fraig ~roots:[ Aig.xor_ g x1 y1 ] g)
+  in
+  check_int "whole sweep: one query per pair" 2 whole_solves;
+  check_int "cone sweep: no query outside the cone" 1 cone_solves;
+  check_bool "cone pair merged" true (sub x1 = sub y1);
+  check_bool "pair outside the cone left unmerged" true (sub x2 <> sub y2);
+  (* The summary instant reports the same work. *)
+  let summary =
+    match Dfv_obs.Trace.raw_json () with
+    | Dfv_obs.Json.List evs ->
+      List.find_map
+        (fun ev ->
+          match Dfv_obs.Json.field "name" ev with
+          | Some (Dfv_obs.Json.String "aig.fraig.done") ->
+            Dfv_obs.Json.field "args" ev
+          | _ -> None)
+        evs
+    | _ -> None
+  in
+  let arg name =
+    match Option.bind summary (Dfv_obs.Json.field name) with
+    | Some (Dfv_obs.Json.Int n) -> n
+    | _ -> Alcotest.failf "aig.fraig.done lacks %s" name
+  in
+  check_int "instant: sat calls" 1 (arg "sat_calls");
+  check_int "instant: merges" 1 (arg "merges");
+  check_int "instant: undecided" 0 (arg "undecided");
+  (* Three inputs, the four ANDs of the first pair and the XOR's three. *)
+  check_int "instant: cone nodes" 10 (arg "cone_nodes")
+
+(* A deadline that has passed stops all proving: no SAT call, and every
+   root still computes its function. *)
+let test_fraig_past_deadline () =
+  let g = Aig.create () in
+  let width = 6 in
+  let a = Word.inputs g width and b = Word.inputs g width in
+  let s1 = Word.add g a b in
+  let s2 = Word.lognot (Word.sub g (Word.lognot a) b) in
+  let roots = Array.to_list s1 @ Array.to_list s2 in
+  let (g', sub), n =
+    counting_solves (fun () ->
+        Sweep.fraig ~deadline:(Unix.gettimeofday () -. 1.) ~roots g)
+  in
+  check_int "no SAT call after the deadline" 0 n;
+  let _, live = counting_solves (fun () -> Sweep.fraig ~roots g) in
+  check_bool "without a deadline the same sweep queries" true (live > 0);
+  let st = Random.State.make [| 77 |] in
+  for _ = 1 to 100 do
+    let assignment =
+      Array.init (Aig.num_inputs g) (fun _ -> Random.State.bool st)
+    in
+    List.iter
+      (fun r ->
+        check_bool "root keeps its function"
+          (Aig.eval g (Array.get assignment) r)
+          (Aig.eval g' (Array.get assignment) (sub r)))
+      roots
+  done
+
 (* The simulation screen: never a witness for an unsatisfiable root set,
    and every witness it returns satisfies all roots. *)
 let test_witness_sound () =
@@ -168,4 +266,8 @@ let suite =
       test_fraig_keeps_inequivalent_apart;
     Alcotest.test_case "fraig reduces duplicated logic" `Quick
       test_fraig_reduces_duplicated_logic;
+    Alcotest.test_case "fraig sweeps only the roots' cone" `Quick
+      test_fraig_cone_only;
+    Alcotest.test_case "fraig past its deadline proves nothing" `Quick
+      test_fraig_past_deadline;
     Alcotest.test_case "witness is sound" `Quick test_witness_sound ]
