@@ -14,12 +14,12 @@
 
    faultsim runs its mutants in pooled workers (--jobs, default = core
    count, except on 1-core hosts where the default falls back to the
-   in-process path; --timeout bounds each mutant's wall clock); sec
-   --jobs N races solving strategies in a portfolio.  --exec-mode
-   fork|domains|auto picks the executor backing either pool: forked
-   processes (crash isolation, timeouts), in-process work-stealing
-   domains (fastest on short jobs), or adaptive dispatch between the
-   two — verdicts are byte-identical across modes.  Both commands
+   in-process path); sec --jobs N races solving strategies in a
+   portfolio.  Either pool runs its jobs on in-process work-stealing
+   domains or in worker processes (fresh copies of this executable)
+   by one rule: --timeout, which only a process can honour, selects
+   processes; otherwise short jobs run on domains.  Verdicts are
+   byte-identical on both paths.  Both commands
    take --journal FILE (durable write-ahead journal of verdicts) and
    --resume FILE (replay a journal and run only what is missing);
    faultsim also takes --deadline S (graceful degradation: shrink
@@ -337,9 +337,9 @@ let stats_arg =
 
 (* Worker-pool flags.  The term yields [None] when --jobs was absent so
    each command can pick its own resting point — and so an explicit
-   --jobs N (any N, even 1) can force the fork pool while the absent
-   default may choose the in-process path on 1-core hosts, where
-   forking only adds overhead. *)
+   --jobs N (any N, even 1) can force the pool while the absent default
+   may choose the plain in-process path on 1-core hosts, where pooling
+   only adds overhead. *)
 let jobs_term =
   let jobs =
     Arg.(
@@ -347,11 +347,13 @@ let jobs_term =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Number of worker processes (faultsim defaults to the \
+            "Number of parallel workers (faultsim defaults to the \
              machine's core count, or the in-process path on a 1-core \
-             host; sec to 1).  Jobs run in forked workers with crash \
-             isolation; verdicts are independent of $(docv).  An \
-             explicit $(docv) — even 1 — always forces the fork pool.")
+             host; sec to 1).  Short jobs run on in-process domains; \
+             jobs under --timeout, and long ones, run in worker \
+             processes with crash isolation.  Verdicts are independent \
+             of $(docv) and of the executor.  An explicit $(docv) — \
+             even 1 — always forces the pool.")
   in
   let check = function
     | Some n when n < 1 -> Error (`Msg "--jobs must be at least 1")
@@ -423,36 +425,14 @@ let timeout_term =
       & info [ "timeout" ] ~docv:"S"
           ~doc:
             "Per-job wall-clock budget in seconds; an expired worker is \
-             killed and its job recorded as undecided.")
+             killed and its job recorded as undecided.  Setting it runs \
+             every job in an isolated worker process.")
   in
   let check = function
     | Some s when s <= 0.0 -> Error (`Msg "--timeout must be positive")
     | t -> Ok t
   in
   Term.(term_result (const check $ t))
-
-(* --exec-mode: which executor backs the worker pool.  The term yields
-   [None] when the flag was absent (the command then defaults to [`Auto]
-   once it decides to pool at all) so an explicit --exec-mode can also
-   force the pooled path where the resting default would have chosen the
-   plain in-process one. *)
-let exec_mode_term =
-  let mode_conv =
-    Arg.enum [ ("fork", `Fork); ("domains", `Domains); ("auto", `Auto) ]
-  in
-  Arg.(
-    value
-    & opt (some mode_conv) None
-    & info [ "exec-mode" ] ~docv:"MODE"
-        ~doc:
-          "Executor backing the worker pool: $(b,fork) runs each job in a \
-           forked process (crash isolation, --timeout support), \
-           $(b,domains) runs jobs on in-process work-stealing domains (no \
-           fork or pipe overhead — fastest on short jobs — but no crash \
-           isolation and incompatible with --timeout), $(b,auto) routes \
-           short jobs to domains and keeps fork for long or \
-           timeout-bearing workloads.  Verdicts are byte-identical across \
-           modes.  Default: auto.")
 
 let reason_string = function
   | Dfv_sat.Solver.Conflict_limit -> "conflict budget exhausted"
@@ -559,10 +539,10 @@ let sec_cmd =
   let doc =
     "Run sequential equivalence checking on a pair.  With --jobs above 1 \
      the check runs as a strategy portfolio: solving variants race in \
-     forked workers and the first conclusive verdict cancels the rest.  \
+     worker processes and the first conclusive verdict cancels the rest.  \
      With --serve-socket the query is answered by a dfv serve daemon."
   in
-  let run budget stats jobs exec journal progress serve_socket obs design bug =
+  let run budget stats jobs journal progress serve_socket obs design bug =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
     match serve_socket with
@@ -579,16 +559,15 @@ let sec_cmd =
         let report v =
           print_slm_wire ~stats (Dfv_par.Portfolio.slm_wire_of_verdict v)
         in
-        (* A journal, --progress or an explicit --exec-mode implies the
-           portfolio path (that is where verdicts are journaled/reported
-           and where the executor choice matters), even without --jobs. *)
-        if jobs = None && exec = None && journal = None && not progress then
+        (* A journal or --progress implies the portfolio path (that is
+           where verdicts are journaled and reported), even without
+           --jobs. *)
+        if jobs = None && journal = None && not progress then
           report (Flow.sec ?budget pair)
         else
           let jobs = Option.value jobs ~default:1 in
-          let exec = Option.value exec ~default:`Auto in
           match
-            Dfv_par.Portfolio.check_slm_rtl ~jobs ~exec ?budget ?journal
+            Dfv_par.Portfolio.check_slm_rtl ~jobs ~exec:`Auto ?budget ?journal
               ~progress ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl
               ~spec:pair.Pair.spec ()
           with
@@ -604,9 +583,8 @@ let sec_cmd =
   in
   Cmd.v (Cmd.info "sec" ~doc ~exits)
     Term.(
-      const run $ budget_term $ stats_arg $ jobs_term $ exec_mode_term
-      $ journal_term $ progress_arg $ serve_socket_arg $ obs_term
-      $ design_arg $ bug_arg)
+      const run $ budget_term $ stats_arg $ jobs_term $ journal_term
+      $ progress_arg $ serve_socket_arg $ obs_term $ design_arg $ bug_arg)
 
 let vectors_arg =
   Arg.(value & opt int 1000 & info [ "n"; "vectors" ] ~docv:"N" ~doc:"Number of random transactions.")
@@ -734,38 +712,25 @@ let faultsim_cmd =
           ~doc:"Write the machine-readable detection report to $(docv).")
   in
   let run budget designs seed max_faults max_slm_faults sim_vectors engine
-      jobs exec timeout deadline journal_path json progress obs =
+      jobs timeout deadline journal_path json progress obs =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
-    (match (exec, timeout) with
-    | Some `Domains, Some _ ->
-      Printf.eprintf
-        "error: --exec-mode domains is incompatible with --timeout \
-         (in-process domains cannot be killed mid-job); use --exec-mode \
-         fork or drop --timeout\n";
-      exit exit_error
-    | _ -> ());
     match
       Dfv_error.guard (fun () ->
           let designs =
             match designs with [] -> Dfv_fault.Suite.names | ds -> ds
           in
           (* Explicit --jobs (any N) forces the pool; the absent default
-             is the core count, except on a 1-core host with no --timeout
-             and no explicit --exec-mode, where pooling per mutant only
-             adds overhead and the in-process path is behaviourally
-             identical.  An explicit --exec-mode forces the pooled path
-             so the executor choice takes effect. *)
+             is the core count, except on a 1-core host with no
+             --timeout, where pooling per mutant only adds overhead and
+             the in-process path is behaviourally identical. *)
           let jobs, pool =
             match jobs with
             | Some n -> (n, Some true)
             | None ->
               let n = Dfv_par.Pool.cores () in
-              if n = 1 && timeout = None && exec = None then (1, Some false)
-              else if exec = None then (n, None)
-              else (n, Some true)
+              if n = 1 && timeout = None then (1, Some false) else (n, None)
           in
-          let exec = Option.value exec ~default:`Auto in
           let journal =
             match journal_path with
             | None -> None
@@ -788,7 +753,7 @@ let faultsim_cmd =
           | _ -> ());
           let reports =
             Dfv_fault.Suite.run ?budget ~seed ~sim_vectors ?engine ~jobs
-              ?timeout ?deadline ?journal ?pool ~exec
+              ?timeout ?deadline ?journal ?pool ~exec:`Auto
               ~max_rtl_faults:max_faults ~max_slm_faults ~progress ~designs ()
           in
           if Dfv_par.Pool.stop_requested () then begin
@@ -844,8 +809,8 @@ let faultsim_cmd =
     Term.(
       const run $ budget_term $ designs_arg $ seed_arg $ max_faults_arg
       $ max_slm_faults_arg $ sim_vectors_arg $ engine_term $ jobs_term
-      $ exec_mode_term $ timeout_term $ deadline_term $ journal_term
-      $ json_arg $ progress_arg $ obs_term)
+      $ timeout_term $ deadline_term $ journal_term $ json_arg $ progress_arg
+      $ obs_term)
 
 (* --- serve / client ---------------------------------------------------- *)
 
@@ -892,7 +857,7 @@ let serve_cmd =
             "Write the dfv-serve summary artifact (per-endpoint hit \
              rates, cache counters, request log) to $(docv) on exit.")
   in
-  let run socket cache store summary jobs exec obs =
+  let run socket cache store summary jobs obs =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
     let resolve ~design ~bug =
@@ -909,7 +874,6 @@ let serve_cmd =
               store;
               summary;
               jobs = Option.value jobs ~default:(Dfv_par.Pool.cores ());
-              exec = Option.value exec ~default:`Auto;
             }
           in
           Dfv_serve.Server.run ~resolve cfg)
@@ -922,7 +886,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(
       const run $ socket_arg $ cache_arg $ store_arg $ summary_arg
-      $ jobs_term $ exec_mode_term $ obs_term)
+      $ jobs_term $ obs_term)
 
 let client_cmd =
   let retries_arg =
@@ -1787,6 +1751,7 @@ let triage_cmd =
       $ bug_arg)
 
 let () =
+  Dfv_par.Pool.serve_worker ();
   let doc = "design-for-verification flows between system-level models and RTL" in
   let info = Cmd.info "dfv" ~version:"1.0.0" ~doc ~exits in
   let code =

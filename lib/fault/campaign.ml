@@ -181,7 +181,7 @@ let progress_category r =
   | v -> verdict_label v
 
 let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
-    ?timeout ?deadline_at ?journal ?pool ?(exec = (`Fork : Pool.exec_mode))
+    ?timeout ?deadline_at ?journal ?pool ?(exec = (`Process : Pool.exec_mode))
     ?(max_rtl_faults = 16) ?(max_slm_faults = 8) ?(extra_mutants = [])
     ?(progress = false) subject =
   let t_start = Unix.gettimeofday () in

@@ -13,7 +13,7 @@
     Each mutant runs inside {!Dfv_core.Dfv_error.guard} with its own
     SAT budget, so one crashing or diverging mutant degrades to a
     recorded verdict and the rest of the campaign still runs.  With
-    [jobs > 1] (or a [timeout]) mutants additionally run in forked
+    [jobs > 1] (or a [timeout]) mutants additionally run in separate
     worker processes via {!Dfv_par.Pool}, upgrading that isolation to
     the process level: a segfaulting or OOM-killed mutant becomes
     [Crashed], a wall-clock-exceeded one becomes [Unknown], and the
@@ -105,12 +105,12 @@ val run :
     the mutant population per subject.
 
     [jobs] (default 1) bounds concurrent mutant workers; any value
-    above 1 — or any [timeout] — switches to forked per-mutant workers
+    above 1 — or any [timeout] — switches to pooled per-mutant workers
     ({!Dfv_par.Pool.map}) with identical verdicts, and [pool] overrides
     that rule in either direction (the CLI forces [pool:true] for an
-    explicit [--jobs], and [pool:false] on 1-core hosts where forking
-    only adds overhead).  [exec] (default [`Fork]) selects the pooled
-    executor — the fork pool, the in-process domains executor, or
+    explicit [--jobs], and [pool:false] on 1-core hosts where pooling
+    only adds overhead).  [exec] (default [`Process]) selects the pooled
+    executor — worker processes, the in-process domains executor, or
     adaptive dispatch between them (see {!Dfv_par.Dpool.map_auto};
     verdicts are byte-identical either way, and [`Domains] with a
     [timeout] is an error).  [timeout] is the per-mutant wall-clock

@@ -31,7 +31,7 @@ val run :
 (** Run the campaigns ([designs] defaults to all of {!names}; raises
     [Failure] on an unknown name).  [jobs]/[timeout]/[pool] select the
     per-mutant worker pool inside each campaign and [exec] (default
-    [`Fork]) which executor backs it (fork processes, in-process
+    [`Process]) which executor backs it (worker processes, in-process
     domains, or adaptive dispatch — see {!Dfv_par.Dpool.map_auto});
     [journal] makes every campaign durable/resumable, [deadline]
     (seconds, one budget across the whole suite) arms the degradation

@@ -4,8 +4,8 @@
     campaign reports, traces, metrics, coverage, triage bundles, worker
     pool result lines — goes through this one printer, so escaping is
     right exactly once.  {!parse} is the inverse, added for the two
-    places the repository reads its {e own} JSON back: the fork pool
-    ({!Dfv_par.Pool}) aggregating per-job results over pipes, and
+    places the repository reads its {e own} JSON back: the process pool
+    ({!Dfv_par.Pool}) aggregating per-job results over sockets, and
     [dfv validate] checking uploaded CI artifacts for the common
     [{"schema","version"}] envelope. *)
 

@@ -47,7 +47,7 @@ val reset : unit -> unit
 
 (** {2 Domain-local isolation}
 
-    The in-process analogue of the fork executor's reset-then-ship
+    The in-process analogue of the process pool's ship-on-completion
     telemetry protocol (see {!Dfv_par.Pool}): a worker {e domain} calls
     {!isolate_domain} at job start, after which every metric operation
     on that domain — including operations through handles created

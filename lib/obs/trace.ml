@@ -31,8 +31,8 @@ let current : sink option ref = ref None
    records spans into its own private ring (installed per job via
    {!isolate_domain}) so the main sink's ring and depth counters are
    never touched cross-domain.  The shadow is exported in the same
-   [dfv-trace-export] wire form the fork executor ships, with the
-   domain id standing in for the worker pid. *)
+   [dfv-trace-export] wire form worker processes ship, with a lane
+   number standing in for the worker pid. *)
 let shadows_active = Atomic.make 0
 
 let shadow_key : sink option Domain.DLS.key =
@@ -295,9 +295,9 @@ let export () =
 (* A shadow is installed only when the process sink is live: with
    tracing off there is nothing to merge into, and the worker's spans
    stay the usual one-branch no-ops.  The shadow's [pid] field carries
-   the worker's domain id — {!absorb} turns it into a per-domain lane
-   exactly as it gives forked workers per-pid lanes. *)
-let isolate_domain () =
+   the caller's lane number — {!absorb} turns it into a per-lane track
+   exactly as it gives worker processes per-pid tracks. *)
+let isolate_domain ~lane =
   (match Domain.DLS.get shadow_key with
   | Some _ -> invalid_arg "Trace.isolate_domain: already isolated"
   | None -> ());
@@ -308,7 +308,7 @@ let isolate_domain () =
       (Some
          (make_sink
             ~capacity:(Array.length main.ring)
-            ~pid:(Domain.self () :> int)));
+            ~pid:lane));
     Atomic.incr shadows_active
 
 let domain_export () =

@@ -90,15 +90,15 @@ val absorb : ?label:string -> ?job:int -> Json.t -> (unit, string) result
     {!Dfv_par.Dpool} worker domains: {!isolate_domain} installs a
     private shadow sink on the calling domain (only when process-wide
     tracing is enabled — otherwise spans stay no-ops), after which the
-    domain's spans record into its own ring, tagged with the domain id
-    in place of a worker pid.  {!domain_export} renders the shadow in
+    domain's spans record into its own ring, tagged with a caller-chosen
+    lane number in place of a worker pid.  {!domain_export} renders the shadow in
     the same [dfv-trace-export] wire form, ready for {!absorb} on the
     coordinating domain, and {!release_domain} uninstalls it. *)
 
-val isolate_domain : unit -> unit
-(** Install a fresh shadow sink on the calling domain (no-op when
-    tracing is disabled).  Raises [Invalid_argument] if the domain is
-    already isolated. *)
+val isolate_domain : lane:int -> unit
+(** Install a fresh shadow sink on the calling domain, its spans tagged
+    [lane] (no-op when tracing is disabled).  Raises [Invalid_argument]
+    if the domain is already isolated. *)
 
 val domain_export : unit -> Json.t
 (** The calling domain's shadow sink as a [dfv-trace-export] payload;

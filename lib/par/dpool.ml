@@ -4,20 +4,12 @@ module Metrics = Dfv_obs.Metrics
 module Trace = Dfv_obs.Trace
 module Coverage = Dfv_obs.Coverage
 
-let m_exec_fork = Metrics.counter "pool.exec.fork"
+(* The counter keeps its historical name; it counts [`Auto] dispatches
+   to worker processes. *)
+let m_exec_process = Metrics.counter "pool.exec.fork"
 let m_exec_domains = Metrics.counter "pool.exec.domains"
 let m_steals = Metrics.counter "pool.domains.steals"
 let m_interrupted = Metrics.counter "pool.interrupted"
-
-(* OCaml 5's one-way door: once a process has spawned any domain,
-   [Unix.fork] is forbidden for the rest of its life — even after every
-   spawned domain has been joined (the runtime refuses with "Unix.fork
-   may not be called while other domains were created").  The flag flips
-   the first time [run] spawns a worker and never flips back; adaptive
-   dispatch consults it so [`Auto] can never route a later workload to
-   the fork pool after an earlier one ran on domains. *)
-let domains_used = Atomic.make false
-let fork_available () = not (Atomic.get domains_used)
 
 (* --- work-stealing deques ---------------------------------------------- *)
 
@@ -62,7 +54,7 @@ let steal d =
 
 type 'r completion = {
   c_job : int;
-  c_domain : int;
+  c_slot : int; (* worker slot 0..w-1, which names the trace lane *)
   c_outcome : 'r Pool.outcome;
   c_telemetry : Json.t option;
 }
@@ -89,14 +81,16 @@ let announce_exit q =
 (* --- worker side -------------------------------------------------------- *)
 
 (* One job on a worker domain: isolate all three observability sinks so
-   the job records a clean delta (the in-process analogue of the fork
-   child's reset-then-ship), run the job under the error taxonomy's
+   the job records a clean delta (the in-process analogue of a worker
+   process's fresh sinks), run the job under the error taxonomy's
    guard, snapshot, release.  Isolation is unconditional even with
    telemetry off — without it, concurrent jobs would race on the global
-   registries. *)
-let run_job ~telemetry f x =
+   registries.  Spans are tagged with the worker slot, not the domain
+   id: domain ids never repeat within a process, so successive pools
+   would otherwise open a new trace lane per domain ever spawned. *)
+let run_job ~slot ~telemetry f x =
   Metrics.isolate_domain ();
-  Trace.isolate_domain ();
+  Trace.isolate_domain ~lane:slot;
   Coverage.isolate_domain ();
   Fun.protect
     ~finally:(fun () ->
@@ -135,20 +129,20 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
   else begin
     (* Domains beyond the core count only contend with each other (and
        with the coordinating domain), so concurrency is clamped to the
-       host — unlike the fork pool, where [jobs] is taken literally.
+       host — unlike the process pool, where [jobs] is taken literally.
        Verdicts cannot tell the difference; only wall-clock can. *)
     let w = max 1 (min (min jobs n) (Pool.cores ())) in
     let cancel = Atomic.make false in
     (* The coordinating domain owns the global sinks: it merges each
        job's telemetry and fires [on_result] in completion order, so
-       callers see exactly the fork pool's delivery discipline. *)
+       callers see exactly the process pool's delivery discipline. *)
     let record c =
       if (not (Atomic.get cancel)) && outcomes.(c.c_job) = None then begin
         outcomes.(c.c_job) <- Some c.c_outcome;
         (match c.c_telemetry with
         | Some v ->
           Pool.merge_telemetry
-            ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
+            ~label:(Printf.sprintf "dfv domain %d" c.c_slot)
             ~job:c.c_job v
         | None -> ());
         match on_result with
@@ -160,7 +154,7 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
       match conclusive with
       | Some is_conclusive when !winner = None ->
         (* Lowest job index among the recorded conclusive results wins,
-           mirroring the fork pool's deterministic tie-break. *)
+           mirroring the process pool's deterministic tie-break. *)
         let best = ref None in
         Array.iteri
           (fun i o ->
@@ -181,16 +175,15 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
          Spawning one domain and blocking here would buy no parallelism
          while switching the runtime into multi-domain mode (every minor
          collection becomes a stop-the-world rendezvous — a measured
-         3-4% tax on simulation-heavy campaigns) and slamming the fork
-         door for the rest of the process.  Jobs run in index order, so
-         the lowest-index-conclusive winner rule holds trivially. *)
-      let did = (Domain.self () :> int) in
+         3-4% tax on simulation-heavy campaigns).  Jobs run in index
+         order, so the lowest-index-conclusive winner rule holds
+         trivially. *)
       (try
          for j = 0 to n - 1 do
            if Atomic.get cancel || Pool.stop_requested () then raise Exit;
-           let outcome, telem = run_job ~telemetry f inputs.(j) in
+           let outcome, telem = run_job ~slot:0 ~telemetry f inputs.(j) in
            record
-             { c_job = j; c_domain = did; c_outcome = outcome;
+             { c_job = j; c_slot = 0; c_outcome = outcome;
                c_telemetry = telem };
            check_winner ()
          done
@@ -237,22 +230,20 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
         Fun.protect
           ~finally:(fun () -> announce_exit q)
           (fun () ->
-            let did = (Domain.self () :> int) in
             let rec loop () =
               if Atomic.get cancel || Pool.stop_requested () then ()
               else
                 match next_job k with
                 | None -> ()
                 | Some j ->
-                  let outcome, telem = run_job ~telemetry f inputs.(j) in
+                  let outcome, telem = run_job ~slot:k ~telemetry f inputs.(j) in
                   push_completion q
-                    { c_job = j; c_domain = did; c_outcome = outcome;
+                    { c_job = j; c_slot = k; c_outcome = outcome;
                       c_telemetry = telem };
                   loop ()
             in
             loop ())
       in
-      Atomic.set domains_used true;
       let domains = Array.init w (fun k -> Domain.spawn (worker k)) in
       let rec drain () =
         Mutex.lock q.q_mu;
@@ -299,46 +290,42 @@ let race ?jobs ?label ?telemetry ?on_result ~conclusive f inputs =
 
 (* --- adaptive dispatch -------------------------------------------------- *)
 
-(* Below this measured first-job cost, fork + pipe overhead dominates
-   and the domains executor wins; above it, process isolation is cheap
-   relative to the work and fork keeps its crash/timeout guarantees. *)
+(* Below this measured first-job cost, process start and serialization
+   dominate and the domains executor wins; above it, process isolation
+   is cheap relative to the work and keeps its crash/timeout
+   guarantees. *)
 let short_job_threshold = 0.25
 
-type hint = [ `Short | `Long ]
+type hint = [ `Short ]
 
 let note = function
-  | `Fork -> Metrics.incr m_exec_fork
+  | `Process -> Metrics.incr m_exec_process
   | `Domains -> Metrics.incr m_exec_domains
 
 (* Static policy, applied when no probe is possible or wanted: a
-   timeout needs preemptive kill (fork only); an explicit cost hint
-   decides directly — except that the fork preference yields once the
-   process has spawned domains (the one-way door above); otherwise a
-   single core means fork can only lose (same serial work plus fork +
-   serialization per job). *)
+   timeout needs preemptive kill (processes only); a short-job hint
+   decides directly; otherwise a single core means processes can only
+   lose (same serial work plus a process start and serialization per
+   job). *)
 let choose_static ~timeout ~hint =
   match (timeout, hint) with
-  | Some _, _ -> Some `Fork
-  | None, Some `Long ->
-    Some (if fork_available () then `Fork else `Domains)
+  | Some _, _ -> Some `Process
   | None, Some `Short -> Some `Domains
-  | None, None ->
-    if Pool.cores () = 1 || not (fork_available ()) then Some `Domains
-    else None
+  | None, None -> if Pool.cores () = 1 then Some `Domains else None
 
 let require_no_timeout timeout =
   match timeout with
   | Some _ ->
     invalid_arg
-      "Dpool: per-job timeouts require the fork executor (a domain \
-       cannot be killed preemptively)"
+      "Dpool: per-job timeouts require worker processes (a domain cannot \
+       be killed preemptively)"
   | None -> ()
 
 let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
     ?on_result ?hint ~(exec : Pool.exec_mode)
     ~(encode : r -> Json.t) ~(decode : Json.t -> (r, string) result)
     (f : a -> r) (inputs : a list) : r Pool.outcome list =
-  let fork ?label ?on_result inputs =
+  let processes ?label ?on_result inputs =
     Pool.map ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
       ~encode ~decode f inputs
   in
@@ -346,7 +333,7 @@ let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
     map ?jobs ?label ?telemetry ?on_result f inputs
   in
   match exec with
-  | `Fork -> fork ?label ?on_result inputs
+  | `Process -> processes ?label ?on_result inputs
   | `Domains ->
     require_no_timeout timeout;
     domains ?label ?on_result inputs
@@ -355,7 +342,7 @@ let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
     | Some m ->
       note m;
       (match m with
-      | `Fork -> fork ?label ?on_result inputs
+      | `Process -> processes ?label ?on_result inputs
       | `Domains -> domains ?label ?on_result inputs)
     | None -> (
       (* Measured probe: run job 0 inline (on this domain, no isolation
@@ -379,23 +366,20 @@ let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
           Option.map (fun notify i o -> notify (i + 1) o) on_result
         in
         let shifted_label = Option.map (fun l i -> l (i + 1)) label in
-        let m =
-          if dt <= short_job_threshold || not (fork_available ()) then
-            `Domains
-          else `Fork
-        in
+        let m = if dt <= short_job_threshold then `Domains else `Process in
         note m;
         let rest_outcomes =
           match m with
           | `Domains ->
             domains ?label:shifted_label ?on_result:shifted_notify rest
-          | `Fork -> fork ?label:shifted_label ?on_result:shifted_notify rest
+          | `Process ->
+            processes ?label:shifted_label ?on_result:shifted_notify rest
         in
         o0 :: rest_outcomes))
 
 let race_auto ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
     ?hint ~(exec : Pool.exec_mode) ~encode ~decode ~conclusive f inputs =
-  let fork () =
+  let processes () =
     Pool.race ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
       ~encode ~decode ~conclusive f inputs
   in
@@ -403,7 +387,7 @@ let race_auto ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
     race ?jobs ?label ?telemetry ?on_result ~conclusive f inputs
   in
   match exec with
-  | `Fork -> fork ()
+  | `Process -> processes ()
   | `Domains ->
     require_no_timeout timeout;
     domains ()
@@ -411,12 +395,12 @@ let race_auto ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
     (* No inline probe for races: racing strategies are heterogeneous,
        so job 0's cost says nothing about the others — and running it
        to completion first would forfeit the race.  Multi-core hosts
-       default to fork (isolation for long adversarial strategies)
-       unless the process has already spawned domains. *)
+       default to processes (isolation for long adversarial
+       strategies). *)
     let m =
       match choose_static ~timeout ~hint with
       | Some m -> m
-      | None -> if fork_available () then `Fork else `Domains
+      | None -> `Process
     in
     note m;
-    (match m with `Fork -> fork () | `Domains -> domains ())
+    (match m with `Process -> processes () | `Domains -> domains ())

@@ -1,14 +1,13 @@
 (** An in-process work-stealing executor on OCaml 5 domains, plus the
-    adaptive dispatcher that picks between it and the fork {!Pool}.
+    adaptive dispatcher that picks between it and the process {!Pool}.
 
-    The fork pool buys crash isolation and preemptive timeouts at the
-    price of a [fork], a pipe, and JSON serialization {e per job} — a
-    price that exceeds the job itself for short work (per-mutant
-    campaign runs, shallow BMC frame shards), which is exactly the
-    regression [BENCH_PAR_SPEEDUP.json] recorded.  This executor runs
-    the same jobs on worker {e domains} in shared memory: results pass
-    by reference, job closures by capture, and the only per-job cost is
-    a mutex-guarded deque pop.
+    The process pool buys crash isolation and preemptive timeouts at
+    the price of a process start, a socket, and serialization {e per
+    job} — a price that exceeds the job itself for short work
+    (per-mutant campaign runs, shallow BMC frame shards).  This executor
+    runs the same jobs on worker {e domains} in shared memory: results
+    pass by reference, job closures by capture, and the only per-job
+    cost is a mutex-guarded deque pop.
 
     {2 Scheduling}
 
@@ -18,7 +17,10 @@
     [pool.domains.steals]).  At most [min jobs cores] worker domains
     run — domains beyond the core count only contend.  The coordinating
     domain merges telemetry and fires [?on_result] in completion order,
-    exactly like the fork parent.
+    exactly like the process pool's parent.  A pool that resolves to
+    one worker runs its jobs inline on the calling domain, so it never
+    pays the multi-domain runtime (every minor GC becomes a
+    stop-the-world rendezvous).
 
     {2 Determinism}
 
@@ -32,9 +34,10 @@
     Each job runs with all three {!Dfv_obs} sinks domain-isolated
     ({!Dfv_obs.Metrics.isolate_domain} and friends), so its metrics,
     spans and coverage are a clean delta, shipped to the coordinator as
-    the same [{"metrics";"trace";"coverage"}] payload the fork protocol
-    uses and merged through {!Pool.merge_telemetry} — trace lanes are
-    tagged ["dfv domain N"] instead of ["dfv worker <pid>"].
+    the same [{"metrics";"trace";"coverage"}] payload worker processes
+    send and merged through {!Pool.merge_telemetry} — trace lanes are
+    tagged ["dfv domain N"] by worker slot [N] (0 to workers - 1, the
+    same lanes on every call) instead of ["dfv worker <pid>"].
 
     {2 What domains do not give you}
 
@@ -45,31 +48,7 @@
     [?timeout] here, and cancellation ({!race} losers, {!Pool.request_stop})
     is cooperative at job granularity — in-flight jobs finish, undealt
     jobs are never started.  Workloads needing either property belong
-    on the fork pool; [`Auto] dispatch routes them there.
-
-    {2 The fork/domains one-way door}
-
-    OCaml 5 forbids [Unix.fork] in any process that has ever spawned a
-    domain, even after every domain has been joined.  Running this
-    executor therefore {e permanently} closes the fork pool for the
-    process ({!fork_available} reports the door's state).  [`Auto]
-    dispatch respects it — once a workload has run on domains, every
-    later [`Auto] decision resolves to domains, hints and probes
-    notwithstanding — but explicitly mixing [`Domains] then [`Fork] in
-    one process is a caller error that the runtime rejects.  Order
-    fork-pool work before domains work (the bench and test suites do),
-    or pick one executor per process.
-
-    One mitigation falls out of the single-worker fast path: a pool
-    that resolves to one worker runs its jobs inline on the calling
-    domain without spawning, so it neither pays the multi-domain
-    runtime (every minor GC becomes a stop-the-world rendezvous) nor
-    closes the door — 1-core hosts can alternate executors freely. *)
-
-val fork_available : unit -> bool
-(** [true] until the first worker domain is spawned in this process;
-    [false] forever after (the OCaml 5 runtime then refuses
-    [Unix.fork], so the fork {!Pool} is unusable). *)
+    on the process pool; [`Auto] dispatch routes them there. *)
 
 val map :
   ?jobs:int ->
@@ -102,9 +81,9 @@ val race :
 
 (** {2 Adaptive dispatch} *)
 
-type hint = [ `Short | `Long ]
-(** A caller's static estimate of per-job cost, when it has one (mutant
-    class, BMC frame depth). *)
+type hint = [ `Short ]
+(** A caller's static knowledge that its jobs are short (shallow BMC
+    frames), which sends [`Auto] straight to domains. *)
 
 val short_job_threshold : float
 (** Measured first-job cost (seconds) at or below which [`Auto]
@@ -125,19 +104,18 @@ val map_auto :
   ('a -> 'r) ->
   'a list ->
   'r Pool.outcome list
-(** {!Pool.map} or {!map}, selected by [exec].  [`Fork] and [`Domains]
-    dispatch directly ([`Domains] with a [timeout] is an
+(** {!Pool.map} or {!map}, selected by [exec].  [`Process] and
+    [`Domains] dispatch directly ([`Domains] with a [timeout] is an
     [Invalid_argument] — a domain cannot be killed).  [`Auto] applies
-    the policy: a [timeout] or [`Long] hint forces fork; a [`Short]
-    hint or a single-core host forces domains; otherwise job 0 runs
-    inline as a timed probe and the rest go to domains iff it finished
-    within {!short_job_threshold}.  Once {!fork_available} is false,
-    every decision except a [timeout]'s resolves to domains.  The
-    probe's outcome is returned at
-    index 0 as usual (without fork isolation — the one job [`Auto] runs
-    natively).  Auto decisions are counted as [pool.exec.fork] /
+    the policy: a [timeout] goes to processes; a [`Short] hint or a
+    single-core host goes to domains; otherwise job 0 runs inline as a
+    timed probe and the rest go to domains iff it finished within
+    {!short_job_threshold}, to processes otherwise.  The probe's outcome
+    is returned at index 0 as usual (without process isolation — the
+    one job [`Auto] runs natively).  Auto decisions are counted as
+    [pool.exec.fork] (processes; the name is historical) /
     [pool.exec.domains]; explicit modes are not, so telemetry parity
-    across executors holds.  Fork-only parameters ([heartbeat],
+    across executors holds.  Process-only parameters ([heartbeat],
     [retry], [encode]/[decode]) are unused on the domains path. *)
 
 val race_auto :
@@ -159,5 +137,5 @@ val race_auto :
 (** {!Pool.race} or {!race}, selected like {!map_auto} except that
     [`Auto] never probes (racing strategies are heterogeneous, and
     running one to completion first would forfeit the race): without a
-    deciding [timeout]/[hint], multi-core hosts race on fork,
+    deciding [timeout]/[hint], multi-core hosts race on processes,
     single-core hosts on domains. *)

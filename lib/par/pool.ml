@@ -11,7 +11,7 @@ let cores () = max 1 (Domain.recommended_domain_count ())
 (* One process-wide flag, set from the CLI's SIGINT/SIGTERM handlers.
    Atomic, not a plain ref, so {!Dpool} worker domains observe a stop
    promptly.  The executors poll it each scheduling round: on stop the
-   fork pool kills every live worker (domains finish their in-flight
+   process pool kills every live worker (domains finish their in-flight
    job, then stand down), nothing further is recorded, and unfinished
    outcomes surface as [Interrupted] — the caller flushes its journal
    and exits resumable. *)
@@ -25,18 +25,12 @@ let reset_stop () = Atomic.set stop_flag false
 (* The mode type lives here (not in {!Dpool}) so both executors and
    every caller can name it without a dependency cycle; the adaptive
    dispatch logic itself lives in {!Dpool}, which can see both. *)
-type exec_mode = [ `Fork | `Domains | `Auto ]
+type exec_mode = [ `Process | `Domains | `Auto ]
 
 let exec_mode_to_string = function
-  | `Fork -> "fork"
+  | `Process -> "process"
   | `Domains -> "domains"
   | `Auto -> "auto"
-
-let exec_mode_of_string = function
-  | "fork" -> Some `Fork
-  | "domains" -> Some `Domains
-  | "auto" -> Some `Auto
-  | _ -> None
 
 (* --- transient-failure retry ------------------------------------------- *)
 
@@ -90,16 +84,16 @@ let result_line job payload = line "result" job [ ("payload", payload) ]
 let error_line job e = line "error" job [ ("error", Dfv_error.to_json e) ]
 
 (* The worker's observability deltas, shipped as one extra protocol line
-   just before the result.  The child reset its sinks at job start, so
-   each section is this job's contribution alone — the parent can merge
-   by plain summation. *)
+   just before the result.  A worker is a fresh process that runs one
+   job, so its sinks hold this job's contribution alone — the parent can
+   merge by plain summation. *)
 let telemetry_line job =
   line "telemetry" job
     [ ("metrics", Metrics.snapshot ());
       ("trace", Trace.export ());
       ("coverage", Coverage.snapshot ()) ]
 
-(* --- child side -------------------------------------------------------- *)
+(* --- worker processes ---------------------------------------------------- *)
 
 let write_all fd s =
   let n = String.length s in
@@ -111,29 +105,82 @@ let write_all fd s =
   in
   try go 0 with Unix.Unix_error _ -> ()
 
-(* Runs in the forked child; never returns.  The heartbeat fires from a
-   SIGALRM handler (delivered at OCaml safe points, so a worker wedged
+(* A worker is a fresh copy of the running executable, started with this
+   reserved first argument.  Nothing is forked, so a process that has
+   spawned domains can still start workers. *)
+let worker_arg = "--dfv-pool-worker"
+let hook_installed = ref false
+
+(* What a worker runs: a closure, shipped with [Marshal.Closures] (the
+   code pointers are valid because the worker is the same executable).
+   Its stdin is the worker's end of a socketpair; the result is the
+   worker's exit code. *)
+type task = unit -> int
+
+let serve_worker () =
+  if Array.length Sys.argv >= 2 && Sys.argv.(1) = worker_arg then begin
+    let code =
+      match (Marshal.from_channel stdin : task) with
+      | task -> task ()
+      | exception e ->
+        prerr_endline ("dfv worker: unreadable task: " ^ Printexc.to_string e);
+        2
+    in
+    exit code
+  end
+  else hook_installed := true
+
+let spawn (task : task) =
+  if not !hook_installed then
+    Error
+      "worker processes need Pool.serve_worker () at the start of this \
+       executable's main"
+  else
+    match Marshal.to_string task [ Marshal.Closures ] with
+    | exception e ->
+      Error ("job cannot be sent to a worker process: " ^ Printexc.to_string e)
+    | payload -> (
+      let mine, theirs =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
+      match
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; worker_arg |]
+          theirs Unix.stdout Unix.stderr
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+        Unix.close mine;
+        Unix.close theirs;
+        Error ("cannot start a worker process: " ^ Unix.error_message e)
+      | pid ->
+        Unix.close theirs;
+        (* A worker that dies before reading its task must not take the
+           parent down with SIGPIPE; its death shows up as EOF. *)
+        let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+        write_all mine payload;
+        Sys.set_signal Sys.sigpipe prev;
+        Ok (pid, mine))
+
+(* The body of one pool job inside its worker.  The heartbeat fires from
+   a SIGALRM handler (delivered at OCaml safe points, so a worker wedged
    below the runtime stops beating — which is exactly the signal the
    parent wants).  The timer is disarmed before the result is written so
-   a heartbeat can never tear the result line. *)
-let child ~heartbeat ~job ~fd ~telemetry f x encode =
+   a heartbeat can never tear the result line.  SIGINT is ignored: a
+   terminal's Ctrl-C reaches the whole process group, and the parent,
+   not the worker, decides what an interrupt means. *)
+let job_task ~heartbeat ~job ~telemetry ~tracing ~coverage run () =
+  let fd = Unix.stdin in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Sys.set_signal Sys.sigint Sys.Signal_ignore;
+  if tracing then Trace.enable ();
+  if coverage then Coverage.enable ();
   Sys.set_signal Sys.sigalrm
     (Sys.Signal_handle (fun _ -> write_all fd (heartbeat_line job)));
   ignore
     (Unix.setitimer Unix.ITIMER_REAL
        { Unix.it_value = heartbeat; it_interval = heartbeat });
-  (* The fork copied the parent's registries and trace ring wholesale.
-     Zero them (and re-install a fresh sink under this pid/epoch) so the
-     telemetry shipped at job end is this job's pure delta — the parent
-     merges deltas, never absolute copies of its own state. *)
-  if telemetry then begin
-    Metrics.reset ();
-    if Trace.enabled () then Trace.enable ();
-    Coverage.reset ()
-  end;
   let out =
-    match Dfv_error.guard (fun () -> encode (f x)) with
+    match Dfv_error.guard run with
     | Ok payload -> result_line job payload
     | Error e -> error_line job e
     | exception e ->
@@ -143,7 +190,7 @@ let child ~heartbeat ~job ~fd ~telemetry f x encode =
     (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = 0.0; it_interval = 0.0 });
   if telemetry then write_all fd (telemetry_line job);
   write_all fd out;
-  Unix._exit 0
+  0
 
 (* --- parent side ------------------------------------------------------- *)
 
@@ -248,26 +295,51 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
     let jitter = float_of_int (job_seed ~seed:k job land 1023) /. 2048.0 in
     base *. (0.5 +. jitter)
   in
+  let deliver job shipped outcome =
+    outcomes.(job) <- Some outcome;
+    (match shipped with
+    | Some v -> merge_telemetry ~job v
+    | None -> ());
+    if tries.(job) > 0 then
+      (match outcome with
+      | Error e when retryable e -> Metrics.incr m_retry_exhausted
+      | Ok _ | Error _ -> Metrics.incr m_retry_healed);
+    match on_result with Some notify -> notify job outcome | None -> ()
+  in
+  (* A worker failure that may be transient (see {!Dfv_error.transient})
+     re-enters the queue with backoff instead of being recorded, until
+     the job's retry budget runs out — then the failure stands. *)
+  let record job shipped outcome =
+    if outcomes.(job) = None then
+      match outcome with
+      | Error e
+        when retryable e
+             && tries.(job) < retry.attempts
+             && (not !cancelled)
+             && not (stop_requested ()) ->
+        tries.(job) <- tries.(job) + 1;
+        Metrics.incr m_retry_attempts;
+        pending := (now () +. retry_delay job (tries.(job) - 1), job) :: !pending
+      | _ -> deliver job shipped outcome
+  in
+  let tracing = telemetry && Trace.enabled () in
+  let coverage = telemetry && Coverage.enabled () in
   let launch i =
-    flush stdout;
-    flush stderr;
-    let rd, wr = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close rd;
-      (* The child inherits read ends of its siblings' pipes; closing
-         them keeps the fd table tidy (EOF semantics only depend on
-         write ends, which the parent closed after each earlier fork). *)
-      Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-        live;
-      child ~heartbeat ~job:i ~fd:wr ~telemetry f inputs.(i) encode
-    | pid ->
-      Unix.close wr;
+    (* Bound outside [run], so the worker is sent this job's input and
+       not the whole input array. *)
+    let x = inputs.(i) in
+    let run () = encode (f x) in
+    match
+      spawn
+        (job_task ~heartbeat ~job:i ~telemetry ~tracing ~coverage run)
+    with
+    | Error m -> record i None (Error (Dfv_error.Internal m))
+    | Ok (pid, fd) ->
       let t = now () in
-      Hashtbl.replace live rd
+      Hashtbl.replace live fd
         {
           pid;
-          fd = rd;
+          fd;
           job = i;
           started = t;
           last_beat = t;
@@ -276,47 +348,19 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
           shipped = None;
         }
   in
-  let deliver w outcome =
-    outcomes.(w.job) <- Some outcome;
-    (match w.shipped with
-    | Some v -> merge_telemetry ~job:w.job v
-    | None -> ());
-    if tries.(w.job) > 0 then
-      (match outcome with
-      | Error e when retryable e -> Metrics.incr m_retry_exhausted
-      | Ok _ | Error _ -> Metrics.incr m_retry_healed);
-    match on_result with Some notify -> notify w.job outcome | None -> ()
-  in
-  (* A worker failure that may be transient (see {!Dfv_error.transient})
-     re-enters the queue with backoff instead of being recorded, until
-     the job's retry budget runs out — then the failure stands. *)
-  let record w outcome =
-    if outcomes.(w.job) = None then
-      match outcome with
-      | Error e
-        when retryable e
-             && tries.(w.job) < retry.attempts
-             && (not !cancelled)
-             && not (stop_requested ()) ->
-        tries.(w.job) <- tries.(w.job) + 1;
-        Metrics.incr m_retry_attempts;
-        pending :=
-          (now () +. retry_delay w.job (tries.(w.job) - 1), w.job) :: !pending
-      | _ -> deliver w outcome
-  in
   let close_worker w =
     Hashtbl.remove live w.fd;
     (try Unix.close w.fd with Unix.Unix_error _ -> ())
   in
-  (* A finished pipe: use the delivered result if the worker sent one,
+  (* A finished socket: use the delivered result if the worker sent one,
      otherwise classify from the exit status. *)
   let finalize_eof w =
     close_worker w;
     let status = reap w.pid in
     match w.delivered with
-    | Some outcome -> record w outcome
+    | Some outcome -> record w.job w.shipped outcome
     | None ->
-      record w
+      record w.job w.shipped
         (Error
            (Dfv_error.Worker_crashed
               { job = label w.job; detail = status_detail status }))
@@ -325,7 +369,7 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
     close_worker w;
     kill_quietly w.pid;
     ignore (reap w.pid);
-    record w outcome
+    record w.job w.shipped outcome
   in
   let handle_line w l =
     if String.trim l = "" then ()

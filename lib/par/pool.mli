@@ -1,24 +1,38 @@
-(** A fork-based worker pool with crash isolation.
+(** A worker pool of separate processes, with crash isolation.
 
     The fault campaign and the SEC portfolio are embarrassingly
     parallel: independent mutants, independent BMC frames, independent
-    solving strategies.  This pool runs such jobs across worker
-    {e processes} (one [fork] per job, at most [jobs] alive at once), so
-    that a worker that segfaults, is OOM-killed, or wedges becomes a
-    recorded {!Dfv_core.Dfv_error.t} — never a dead run.
+    solving strategies.  This pool runs such jobs in worker
+    {e processes} (one per job, at most [jobs] alive at once), so that a
+    worker that segfaults, is OOM-killed, or wedges becomes a recorded
+    {!Dfv_core.Dfv_error.t} — never a dead run.
+
+    {2 Worker processes}
+
+    A worker is a fresh copy of the running executable
+    ([Sys.executable_name], started with [Unix.create_process]; nothing
+    is ever forked, so a process that has spawned domains can still
+    start workers).  The executable must call {!serve_worker} first
+    thing in its [main]; without that call every job comes back as
+    [Error (Internal _)] instead of re-running [main].  The job's
+    closure and input travel to the worker with [Marshal.Closures] over
+    a private socketpair on the worker's stdin; a closure that cannot be
+    marshalled (one capturing a [Mutex.t], a channel …) is an
+    [Error (Internal _)] outcome.  Globals are not shared: a worker
+    starts from module initialisation, never from the parent's state.
+    Output the job prints goes to the parent's stdout and stderr.
 
     {2 Protocol}
 
-    Each worker computes its job in the forked child (the job closure
-    travels by fork, not serialization) and writes exactly one result
-    line — the {!Dfv_obs.Json} envelope
+    The worker writes exactly one result line — the {!Dfv_obs.Json}
+    envelope
     [{"schema":"dfv-par","version":1,"kind":"result"|"error","job":i,...}]
-    — on a private pipe, preceded by periodic [kind:"heartbeat"] lines
-    emitted from a SIGALRM timer.  The parent multiplexes the pipes with
-    [select], kills workers that exceed the per-job wall-clock budget
-    ([Worker_timeout]) or stop heartbeating ([Worker_crashed]), and maps
-    a worker that dies without delivering a result — by signal or
-    nonzero exit — to [Worker_crashed] with the cause.
+    — on the socketpair, preceded by periodic [kind:"heartbeat"] lines
+    emitted from a SIGALRM timer.  The parent multiplexes the sockets
+    with [select], kills workers that exceed the per-job wall-clock
+    budget ([Worker_timeout]) or stop heartbeating ([Worker_crashed]),
+    and maps a worker that dies without delivering a result — by signal
+    or nonzero exit — to [Worker_crashed] with the cause.
 
     {2 Determinism}
 
@@ -41,19 +55,32 @@
 
     {2 Telemetry}
 
-    Observability is fork-transparent by default: each worker zeroes its
-    inherited {!Dfv_obs.Metrics} / {!Dfv_obs.Trace} /
-    {!Dfv_obs.Coverage} state at job start and ships the job's deltas
-    back as one extra [kind:"telemetry"] protocol line just before its
-    result.  The parent merges a job's telemetry exactly once, when the
-    job's outcome becomes final — counters summed, gauges max-of-high-
-    water, histogram buckets summed elementwise, coverage bins summed,
-    worker spans re-based into the parent trace under the worker's pid
-    and tagged with the job index — so retried attempts and journal-
-    replayed jobs (which never run) are never double-counted.  Shipping
-    volume is visible as [pool.telemetry.shipped], merge failures as
-    [pool.telemetry.errors]; pass [~telemetry:false] to turn the whole
-    mechanism off. *)
+    Each worker enables tracing and coverage when the parent has them
+    on, and ships the job's {!Dfv_obs.Metrics} / {!Dfv_obs.Trace} /
+    {!Dfv_obs.Coverage} state back as one extra [kind:"telemetry"]
+    protocol line just before its result.  The parent merges a job's
+    telemetry exactly once, when the job's outcome becomes final —
+    counters summed, gauges max-of-high-water, histogram buckets summed
+    elementwise, coverage bins summed, worker spans re-based into the
+    parent trace under the worker's pid and tagged with the job index —
+    so retried attempts and journal-replayed jobs (which never run) are
+    never double-counted.  Shipping volume is visible as
+    [pool.telemetry.shipped], merge failures as [pool.telemetry.errors];
+    pass [~telemetry:false] to turn the whole mechanism off. *)
+
+val serve_worker : unit -> unit
+(** The worker entry point: call it first in [main].  In a process
+    started as a worker it runs the shipped task and exits with the
+    task's code, never returning; in any other process it records that
+    worker processes may be started and returns. *)
+
+val spawn : (unit -> int) -> (int * Unix.file_descr, string) result
+(** [spawn task] starts a worker process running [task] and returns its
+    pid and the parent's end of the socketpair on the worker's stdin.
+    The worker exits with [task ()]'s result.  [Error] when
+    {!serve_worker} was never called, when [task] cannot be marshalled,
+    or when the process cannot be started.  The caller owns the pid
+    (reap it) and the descriptor (close it). *)
 
 val cores : unit -> int
 (** Number of CPU cores available to this process (>= 1). *)
@@ -68,16 +95,15 @@ val request_stop : unit -> unit
 val stop_requested : unit -> bool
 val reset_stop : unit -> unit
 
-type exec_mode = [ `Fork | `Domains | `Auto ]
-(** Which executor runs a parallel workload: this fork pool ([`Fork],
-    crash isolation and preemptive timeouts), the in-process
-    {!Dpool} ([`Domains], no fork or pipe cost — wins on short jobs),
-    or adaptive selection ([`Auto], see {!Dpool.choose_exec}).  The
+type exec_mode = [ `Process | `Domains | `Auto ]
+(** Which executor runs a parallel workload: this pool ([`Process],
+    crash isolation and preemptive timeouts), the in-process {!Dpool}
+    ([`Domains], no process start or serialization — wins on short
+    jobs), or adaptive selection ([`Auto], see {!Dpool.map_auto}).  The
     type lives here so callers can name it without depending on the
     domains executor. *)
 
 val exec_mode_to_string : exec_mode -> string
-val exec_mode_of_string : string -> exec_mode option
 
 val merge_telemetry : ?label:string -> job:int -> Dfv_obs.Json.t -> unit
 (** Merge one worker's shipped telemetry payload (the
@@ -124,12 +150,12 @@ val map :
   ('a -> 'r) ->
   'a list ->
   'r outcome list
-(** [map ~encode ~decode f inputs] runs [f] on every input in forked
-    workers and returns the outcomes {e in input order}.
+(** [map ~encode ~decode f inputs] runs [f] on every input in worker
+    processes and returns the outcomes {e in input order}.
 
     [jobs] bounds concurrent workers (default {!cores}; [jobs = 1] still
-    forks, so crash isolation and the timeout apply identically — only
-    parallelism changes).  [timeout] is the per-job wall-clock budget in
+    starts a worker per job, so crash isolation and the timeout apply
+    identically — only parallelism changes).  [timeout] is the per-job wall-clock budget in
     seconds (default: none); an expired job is SIGKILLed and reported as
     [Error (Worker_timeout _)].  [heartbeat] (default 0.5s) sets the
     worker heartbeat period; a worker silent for 20 heartbeat periods is
@@ -137,7 +163,7 @@ val map :
     and reported as [Error (Worker_crashed _)].  [label] names job [i]
     in error values (default: its index).
 
-    [encode]/[decode] carry the result across the pipe; a worker whose
+    [encode]/[decode] carry the result across the socket; a worker whose
     payload fails to decode is a [Worker_crashed] (protocol damage, same
     class as a torn write).
 

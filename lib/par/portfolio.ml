@@ -270,7 +270,7 @@ let slm_wire_category = function
   | Error _ -> "failed"
 
 let check_slm_rtl ?jobs ?timeout ?budget ?journal ?(progress = false)
-    ?(exec = (`Fork : Pool.exec_mode)) ~slm ~rtl ~spec () =
+    ?(exec = (`Process : Pool.exec_mode)) ~slm ~rtl ~spec () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_slm_rtl" @@ fun () ->
   let strategies = [ ("sweep", true); ("direct", false) ] in
   let run (_, sweep) =
@@ -584,7 +584,7 @@ let frame_wire_category = function
   | Error _ -> "failed"
 
 let check_rtl_rtl ?jobs ?timeout ?budget ?(progress = false)
-    ?(exec = (`Fork : Pool.exec_mode)) ~a ~b ~bound () =
+    ?(exec = (`Process : Pool.exec_mode)) ~a ~b ~bound () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_rtl_rtl" @@ fun () ->
   if bound < 1 then
     Error (Dfv_error.Spec_violation "bound must be >= 1")
@@ -600,8 +600,9 @@ let check_rtl_rtl ?jobs ?timeout ?budget ?(progress = false)
       | Some p -> Progress.step p (frame_wire_category outcome)
       | None -> ()
     in
-    (* Shallow frame miters are short jobs (the fork tax dominates);
-       deep unrollings earn fork isolation under [`Auto]. *)
+    (* Shallow frame miters are short jobs (a process start per frame
+       dominates); deep unrollings earn process isolation under
+       [`Auto]. *)
     let hint = if bound <= 8 then Some `Short else None in
     let r =
       Dpool.race_auto ~exec ?hint ?jobs ?timeout

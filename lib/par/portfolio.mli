@@ -97,7 +97,7 @@ val check_slm_rtl :
     the result is [Error (Interrupted _)] so the CLI can exit with the
     resumable code.  [progress] (default false) renders a live
     {!Progress} line per finished strategy on a TTY stderr.  [exec]
-    (default [`Fork]) selects the racing executor — see
+    (default [`Process]) selects the racing executor — see
     {!Dpool.race_auto}; [`Domains] with a [timeout] is an error. *)
 
 val check_rtl_rtl :
@@ -121,6 +121,6 @@ val check_rtl_rtl :
     statistics are summed across workers; [wall_seconds] is the
     parent's elapsed time.  [progress] (default false) renders a live
     {!Progress} line per decided frame on a TTY stderr.  [exec]
-    (default [`Fork]) selects the sharding executor; under [`Auto] a
+    (default [`Process]) selects the sharding executor; under [`Auto] a
     shallow [bound] (<= 8) hints the frames short and prefers domains
     — see {!Dpool.race_auto}. *)

@@ -23,7 +23,7 @@ val create :
   unit ->
   t option
 (** [None] when [total <= 0] or stderr is not a TTY (unless [force]).
-    [mode] names the active executor ("fork" / "domains" / "seq"),
+    [mode] names the active executor ("process" / "domains" / "auto" / "seq"),
     shown bracketed after the label.  [deadline_at] is the campaign's
     absolute degradation deadline (compare {!Dfv_fault.Campaign}) —
     when given, the remaining wall clock to it is shown alongside the

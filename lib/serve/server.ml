@@ -22,7 +22,6 @@ type config = {
   capacity : int;
   store : string option;
   jobs : int;
-  exec : Pool.exec_mode;
   summary : string option;
   log_limit : int;
 }
@@ -33,7 +32,6 @@ let default_config ~socket =
     capacity = 256;
     store = None;
     jobs = Pool.cores ();
-    exec = `Auto;
     summary = None;
     log_limit = 4096;
   }
@@ -80,9 +78,8 @@ type solvable =
     }
 
 (* Runs inside a pool worker.  Campaigns run with the per-mutant pool
-   disabled: the server's executor is the parallelism, and forking
-   again inside a forked worker (or inside a domain) is exactly the
-   layering the executors forbid. *)
+   disabled: the server's executor is the parallelism, and a second
+   pool inside a worker would only oversubscribe the cores. *)
 let solve = function
   | J_sec (pair, budget) ->
     let v = Flow.sec ?budget pair in
@@ -389,7 +386,7 @@ let serve_batch st batch =
         ~args:[ ("solves", Json.Int (List.length keys)) ]
         "serve.solve_batch"
         (fun () ->
-          Dpool.map_auto ~jobs:st.cfg.jobs ~exec:st.cfg.exec
+          Dpool.map_auto ~jobs:st.cfg.jobs ~exec:`Auto
             ~label:(fun i -> "serve:" ^ (rep (List.nth keys i)).p_name)
             ~encode:solved_to_json
             ~decode:solved_of_json

@@ -330,10 +330,7 @@ let test_campaign_deadline_sheds () =
 
 (* Journal resume on the domains executor: the same kill-mid-campaign
    scenario as test_campaign_resume_byte_identical, with the pooled legs
-   running on in-process domains instead of forked workers.  Lives in a
-   separate suite registered after every fork-using test: OCaml 5
-   forbids Unix.fork once a process has spawned a domain, so this must
-   be among the last pool work in the test binary. *)
+   running on in-process domains instead of worker processes. *)
 let test_campaign_resume_on_domains () =
   let subject () = Campaign.Sec_pair (alu_pair ()) in
   let run ?journal () =
@@ -379,6 +376,7 @@ let test_campaign_resume_on_domains () =
   check_int "total preserved" reference.Campaign.r_total
     resumed.Campaign.r_total
 
+(* Campaigns on the domains executor, kept as their own suite. *)
 let domains_suite =
   [ Alcotest.test_case "domains campaign journal resume is byte-identical"
       `Quick test_campaign_resume_on_domains ]

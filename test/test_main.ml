@@ -1,4 +1,5 @@
 let () =
+  Dfv_par.Pool.serve_worker ();
   Alcotest.run "dfv"
     [ ("bitvec", Test_bitvec.suite);
       ("cint", Test_cint.suite);
@@ -20,13 +21,9 @@ let () =
       ("designs", Test_designs.suite);
       ("core", Test_core.suite);
       ("fault", Test_fault.suite);
+      ("fault-domains", Test_fault.domains_suite);
       ("par", Test_par.suite);
-      (* Forks server children, so it must also precede fault-domains. *)
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
       ("properties", Test_properties.suite);
-      ("behsyn", Test_behsyn.suite);
-      (* Last on purpose: campaigns on the domains executor may spawn
-         worker domains, and OCaml 5 forbids Unix.fork in any process
-         that ever did — every fork-pool test must already be done. *)
-      ("fault-domains", Test_fault.domains_suite) ]
+      ("behsyn", Test_behsyn.suite) ]

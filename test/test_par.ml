@@ -1,4 +1,4 @@
-(* The fork-based worker pool: ordering, determinism across job counts,
+(* The process worker pool: ordering, determinism across job counts,
    crash isolation (a killed worker is a recorded error, not a dead
    run), per-job timeouts, and portfolio cancellation. *)
 
@@ -79,7 +79,7 @@ let test_worker_killed () =
       (contains detail "SIGKILL" || contains detail "signal")
   | _ -> Alcotest.fail "expected [Ok 0; Error Worker_crashed; Ok 20]")
 
-(* A worker raising stays an in-taxonomy error (carried across the pipe
+(* A worker raising stays an in-taxonomy error (carried across the socket
    as structured JSON), distinct from a crash. *)
 let test_worker_raises () =
   let out =
@@ -543,7 +543,7 @@ let test_telemetry_retry_no_double_count () =
     "only delivered attempts shipped" 3
     (Metrics.counter_value (Metrics.counter "pool.telemetry.shipped"))
 
-(* Journal-resumed campaigns: replayed mutants never fork, so they ship
+(* Journal-resumed campaigns: replayed mutants never run, so they ship
    nothing and merged totals are not double-counted across the resume. *)
 let test_telemetry_journal_resume_no_double_count () =
   let path = Filename.temp_file "dfv_tj" ".journal" in
@@ -589,14 +589,6 @@ let test_telemetry_journal_resume_no_double_count () =
 
 (* --- the domains executor ---------------------------------------------- *)
 
-(* ORDERING MATTERS in this file's suite: OCaml 5 forbids Unix.fork in a
-   process that has ever spawned a domain, so every fork-pool test (and
-   every fork leg inside a mixed test) must run before the first test
-   that touches Dpool's domains.  The suite list below keeps all
-   fork-only tests first, then the campaign fork-parity leg, then the
-   adaptive-dispatch test (fork legs internally first), and only then
-   the domains-only tests. *)
-
 module Dpool = Dfv_par.Dpool
 
 let test_dpool_map_order () =
@@ -626,7 +618,7 @@ let test_dpool_raise_isolated () =
   | _ -> Alcotest.fail "expected [Ok 0; Error Internal; Ok 2]"
 
 (* After request_stop, no queued job runs and every unfinished slot is
-   Interrupted — same contract as the fork pool's map. *)
+   Interrupted — same contract as the process pool's map. *)
 let test_dpool_stop_interrupts () =
   Fun.protect ~finally:Pool.reset_stop @@ fun () ->
   Pool.request_stop ();
@@ -642,7 +634,7 @@ let test_dpool_stop_interrupts () =
 
 (* Race: the lowest-index conclusive result wins, and cancellation stops
    the remaining queue — jobs not yet started never run (they cannot be
-   killed mid-flight like fork workers, so in-flight stragglers may
+   killed mid-flight like worker processes, so in-flight stragglers may
    finish, but their outcomes are discarded). *)
 let test_dpool_race_wins_and_cancels () =
   let ran = Atomic.make 0 in
@@ -681,10 +673,8 @@ let test_dpool_race_wins_and_cancels () =
     r.Pool.outcomes
 
 (* Domains telemetry: merged worker-domain sinks equal an in-process
-   sequential run of the same work — same property the fork pool's
-   test_pool_telemetry_parity establishes, on the other executor.  The
-   sequential reference runs in this test (it never forks), so the test
-   is safe after the fork door has closed. *)
+   sequential run of the same work — same property the process pool's
+   test_pool_telemetry_parity establishes, on the other executor. *)
 let dpool_telemetry jobs =
   Metrics.reset ();
   Coverage.clear ();
@@ -738,7 +728,7 @@ let test_dpool_telemetry_parity () =
 (* --- cross-executor verdict determinism -------------------------------- *)
 
 (* The acceptance bar for the whole executor: a fault campaign's verdict
-   transcript is byte-identical across sequential, fork and domains at
+   transcript is byte-identical across sequential, processes and domains at
    any job count — seeds derive from (campaign seed, mutant index), never
    from the executor. *)
 let campaign_transcript ?pool ?exec ~jobs () =
@@ -757,21 +747,17 @@ let campaign_transcript ?pool ?exec ~jobs () =
     r.Dfv_fault.Campaign.r_results
   |> String.concat "\n"
 
-(* Fork legs — runs while the fork door is still open (before any
-   domains test). *)
-let test_cross_executor_fork_parity () =
+let test_cross_executor_process_parity () =
   let seq = campaign_transcript ~pool:false ~jobs:1 () in
   Alcotest.(check bool) "transcript non-trivial" true (String.length seq > 0);
   List.iter
     (fun jobs ->
       Alcotest.(check string)
-        (Printf.sprintf "fork at %d jobs equals sequential" jobs)
+        (Printf.sprintf "processes at %d jobs equal sequential" jobs)
         seq
-        (campaign_transcript ~pool:true ~exec:`Fork ~jobs ()))
+        (campaign_transcript ~pool:true ~exec:`Process ~jobs ()))
     [ 2; 4 ]
 
-(* Domains legs — recomputes the sequential reference itself (running
-   sequentially never forks), so it stays valid after the door closes. *)
 let test_cross_executor_domains_parity () =
   let seq = campaign_transcript ~pool:false ~jobs:1 () in
   List.iter
@@ -790,72 +776,176 @@ let exec_counters () =
     Metrics.counter_value (Metrics.counter "pool.exec.domains") )
 
 (* `Auto resolves to exactly one executor per call (counted only under
-   `Auto so explicit-mode runs keep byte-identical telemetry), and a
-   cost hint decides without probing.  Fork legs run first inside the
-   test: on a multicore host the domains legs spawn worker domains and
-   close the fork door for the process. *)
+   `Auto so explicit-mode runs keep byte-identical telemetry): a timeout
+   buys worker processes, a short hint or a short probe buys domains,
+   and no decision depends on what ran earlier in the process. *)
 let test_map_auto_dispatch () =
   let inputs = [ 1; 2; 3; 4 ] in
   let expected = List.map (fun x -> x * 2) inputs in
-  let run ?hint exec =
-    Dpool.map_auto ?hint ~exec ~encode:encode_int ~decode:decode_int
-      (fun x -> x * 2)
-      inputs
-    |> List.map ok
+  let step name ~processes ~domains ?timeout ?hint exec =
+    let p0, d0 = exec_counters () in
+    Alcotest.(check (list int))
+      (name ^ " verdicts") expected
+      (Dpool.map_auto ?timeout ?hint ~exec ~encode:encode_int
+         ~decode:decode_int
+         (fun x -> x * 2)
+         inputs
+      |> List.map ok);
+    let p1, d1 = exec_counters () in
+    Alcotest.(check (pair int int))
+      (name ^ " dispatch (processes, domains)")
+      (processes, domains)
+      (p1 - p0, d1 - d0)
   in
-  Alcotest.(check bool)
-    "fork door still open at test start" true (Dpool.fork_available ());
-  (* fork legs *)
-  let f0, d0 = exec_counters () in
-  Alcotest.(check (list int)) "long hint verdicts" expected (run ~hint:`Long `Auto);
-  let f1, _ = exec_counters () in
-  Alcotest.(check int) "long hint routed to fork" (f0 + 1) f1;
-  Alcotest.(check (list int)) "explicit fork verdicts" expected (run `Fork);
-  let f2, d2 = exec_counters () in
-  Alcotest.(check int) "explicit fork uncounted" f1 f2;
-  Alcotest.(check int) "no domains so far" d0 d2;
-  (* domains legs *)
-  Alcotest.(check (list int)) "auto verdicts" expected (run `Auto);
-  let f3, d3 = exec_counters () in
-  Alcotest.(check int) "auto resolved to exactly one executor" 1
-    (f3 - f2 + (d3 - d2));
-  Alcotest.(check (list int)) "short hint verdicts" expected (run ~hint:`Short `Auto);
-  let _, d4 = exec_counters () in
-  Alcotest.(check int) "short hint routed to domains" (d3 + 1) d4;
-  Alcotest.(check (list int)) "explicit domains verdicts" expected (run `Domains);
-  let f5, d5 = exec_counters () in
-  Alcotest.(check int) "explicit domains uncounted" d4 d5;
-  Alcotest.(check int) "no stray fork dispatch" f3 f5;
-  (* Whether the domains legs closed the fork door depends on the host:
-     a single-worker pool runs inline on the calling domain (no spawn),
-     so a 1-core host leaves the door open, while a multicore host
-     spawned real worker domains and slammed it.  Exercise whichever
-     side this host is on. *)
-  let f6, d6 = exec_counters () in
-  Alcotest.(check (list int))
-    "long hint after the domains legs" expected (run ~hint:`Long `Auto);
-  let f7, d7 = exec_counters () in
-  if Dpool.fork_available () then begin
-    (* inline single-worker pools never spawned a domain *)
-    Alcotest.(check int) "door open: long hint still buys fork" (f6 + 1) f7;
-    Alcotest.(check int) "door open: no stray domains" d6 d7
-  end
-  else begin
-    Alcotest.(check int) "sticky dispatch: no fork" f6 f7;
-    Alcotest.(check int) "sticky dispatch: domains" (d6 + 1) d7
-  end
+  step "timeout" ~processes:1 ~domains:0 ~timeout:30.0 `Auto;
+  step "explicit processes" ~processes:0 ~domains:0 `Process;
+  step "short hint" ~processes:0 ~domains:1 ~hint:`Short `Auto;
+  step "explicit domains" ~processes:0 ~domains:0 `Domains;
+  step "short probe" ~processes:0 ~domains:1 `Auto;
+  step "timeout after domains" ~processes:1 ~domains:0 ~timeout:30.0 `Auto
 
 let test_domains_timeout_rejected () =
   Alcotest.check_raises "domains + timeout is a caller error"
     (Invalid_argument
-       "Dpool: per-job timeouts require the fork executor (a domain \
-        cannot be killed preemptively)")
+       "Dpool: per-job timeouts require worker processes (a domain cannot \
+        be killed preemptively)")
     (fun () ->
       ignore
         (Dpool.map_auto ~exec:`Domains ~timeout:1.0 ~encode:encode_int
            ~decode:decode_int
            (fun x -> x)
            [ 0 ]))
+
+(* Domain trace lanes are worker slots: successive pools reuse the same
+   lanes instead of opening one per domain ever spawned. *)
+let test_dpool_trace_lanes () =
+  let lanes = min 2 (Pool.cores ()) in
+  let pool_once () =
+    let started = Atomic.make 0 in
+    ignore
+      (Dpool.map ~jobs:2
+         (fun x ->
+           Atomic.incr started;
+           (* hold each job until every worker has one, so both slots run *)
+           let t0 = Unix.gettimeofday () in
+           while
+             Atomic.get started < lanes && Unix.gettimeofday () -. t0 < 5.0
+           do
+             Domain.cpu_relax ()
+           done;
+           Trace.with_span "par.lane" (fun () -> x))
+         [ 0; 1 ])
+  in
+  Trace.enable ();
+  pool_once ();
+  pool_once ();
+  let lane_names =
+    match Json.field "traceEvents" (Trace.to_json ()) with
+    | Some (Json.List evs) ->
+      List.filter_map
+        (fun e ->
+          match (Json.field "name" e, Json.field "args" e) with
+          | Some (Json.String "process_name"), Some args -> (
+            match Json.field "name" args with
+            | Some (Json.String l)
+              when String.length l > 10 && String.sub l 0 10 = "dfv domain" ->
+              Some l
+            | _ -> None)
+          | _ -> None)
+        evs
+    | _ -> []
+  in
+  Trace.disable ();
+  Alcotest.(check int) "one lane per worker slot" lanes (List.length lane_names)
+
+(* --- worker processes after domains ------------------------------------ *)
+
+(* Worker processes start by re-executing this binary, never by fork, so
+   the process pool keeps working in a process that has spawned domains
+   (where OCaml 5 refuses to fork). *)
+let test_processes_after_domains () =
+  ignore (Dpool.map ~jobs:2 (fun x -> x + 1) [ 0; 1; 2; 3 ]);
+  Metrics.reset ();
+  let out =
+    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
+      (fun x ->
+        Metrics.incr (Metrics.counter "t.par.after");
+        x * x)
+      [ 3; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "input order" [ 9; 1; 4 ] (List.map ok out);
+  Alcotest.(check int)
+    "worker telemetry merged" 3
+    (Metrics.counter_value (Metrics.counter "t.par.after"));
+  (match
+     Pool.map ~jobs:2 ~timeout:0.5 ~heartbeat:0.1 ~encode:encode_int
+       ~decode:decode_int
+       (fun x ->
+         if x = 1 then Unix.sleep 60;
+         x)
+       [ 0; 1 ]
+   with
+  | [ Ok 0; Error (Dfv_error.Worker_timeout _) ] -> ()
+  | _ -> Alcotest.fail "expected [Ok 0; Error Worker_timeout]");
+  (* The winner waits until the loser has recorded its pid, so the race
+     has a live process to kill. *)
+  let marker = Filename.temp_file "dfv_loser" ".pid" in
+  Sys.remove marker;
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Pool.race ~jobs:2 ~heartbeat:0.1 ~encode:encode_int ~decode:decode_int
+      ~conclusive:(fun v -> v >= 0)
+      (fun x ->
+        if x = 0 then begin
+          let t = Unix.gettimeofday () in
+          while
+            (not (Sys.file_exists marker)) && Unix.gettimeofday () -. t < 10.0
+          do
+            Unix.sleepf 0.01
+          done;
+          100
+        end
+        else begin
+          write_file (marker ^ ".tmp") (string_of_int (Unix.getpid ()));
+          Sys.rename (marker ^ ".tmp") marker;
+          Unix.sleep 60;
+          -1
+        end)
+      [ 0; 1 ]
+  in
+  Alcotest.(check bool) "race returned promptly" true
+    (Unix.gettimeofday () -. t0 < 30.0);
+  (match r.Pool.winner with
+  | Some (0, 100) -> ()
+  | _ -> Alcotest.fail "expected job 0 to win with 100");
+  Alcotest.(check bool) "loser cancelled" true (r.Pool.outcomes.(1) = None);
+  let loser = int_of_string (read_file marker) in
+  Sys.remove marker;
+  (match Unix.kill loser 0 with
+  | () -> Alcotest.fail "the losing worker is still alive"
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ());
+  (match
+     Pool.map ~jobs:1 ~encode:encode_int ~decode:decode_int
+       (fun x ->
+         print_string "{\"kind\":\"result\",\"job\":0}\nworker noise\n";
+         x + 1)
+       [ 41 ]
+   with
+  | [ Ok 42 ] -> ()
+  | _ -> Alcotest.fail "a printing job must still deliver its result");
+  let m = Mutex.create () in
+  List.iter
+    (function
+      | Error (Dfv_error.Internal _) -> ()
+      | Ok _ -> Alcotest.fail "a closure over a Mutex.t cannot reach a worker"
+      | Error e ->
+        Alcotest.failf "expected Internal, got %s" (Dfv_error.to_string e))
+    (Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
+       (fun x ->
+         Mutex.lock m;
+         Mutex.unlock m;
+         x)
+       [ 0; 1 ])
 
 let suite =
   [ Alcotest.test_case "map preserves input order" `Quick test_map_order;
@@ -903,11 +993,9 @@ let suite =
       test_telemetry_retry_no_double_count;
     Alcotest.test_case "journal resume ships no duplicate telemetry" `Quick
       test_telemetry_journal_resume_no_double_count;
-    (* fork-leg tests first, then the first domains spawn, then
-       domains-only tests — see the ordering note above Dpool *)
-    Alcotest.test_case "campaign verdicts invariant under fork executor"
-      `Quick test_cross_executor_fork_parity;
-    Alcotest.test_case "adaptive dispatch routes, counts, and sticks" `Quick
+    Alcotest.test_case "campaign verdicts invariant under process executor"
+      `Quick test_cross_executor_process_parity;
+    Alcotest.test_case "adaptive dispatch routes, counts, and probes" `Quick
       test_map_auto_dispatch;
     Alcotest.test_case "dpool map preserves input order" `Quick
       test_dpool_map_order;
@@ -924,4 +1012,8 @@ let suite =
     Alcotest.test_case "campaign verdicts invariant under domains executor"
       `Quick test_cross_executor_domains_parity;
     Alcotest.test_case "domains executor rejects a timeout" `Quick
-      test_domains_timeout_rejected ]
+      test_domains_timeout_rejected;
+    Alcotest.test_case "dpool trace lanes are worker slots" `Quick
+      test_dpool_trace_lanes;
+    Alcotest.test_case "worker processes start after domains" `Quick
+      test_processes_after_domains ]

@@ -1,11 +1,7 @@
 (* The dfv serve stack: protocol codecs, the content-addressed LRU
    cache with its journal-backed disk store, and the daemon end to end
    over a real Unix socket — coalescing, cache hits, byte-identical
-   verdicts, interruption, and store replay across restarts.
-
-   ORDERING: the end-to-end tests fork server children, so this suite
-   must run before any test spawns a domain (OCaml 5 forbids fork
-   after domains) — test_main registers it before fault-domains. *)
+   verdicts, interruption, and store replay across restarts. *)
 
 module Cache = Dfv_serve.Cache
 module Protocol = Dfv_serve.Protocol
@@ -256,29 +252,22 @@ let test_store_campaign_mismatch () =
 
 (* --- fingerprints across processes -------------------------------------- *)
 
-(* The restart story rests on key stability across processes: a child
-   process re-derives the same sec key the parent computes.  (The
+(* The restart story rests on key stability across processes: a fresh
+   worker process re-derives the same sec key the parent computes.  (The
    end-to-end test then shows a *daemon* restart serving a warm hit.) *)
-let test_fingerprint_stable_across_fork () =
+let test_fingerprint_stable_across_processes () =
   let parent_key = sec_key (gcd_pair ()) None in
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let key = sec_key (gcd_pair ()) None in
-    let b = Bytes.of_string key in
-    ignore (Unix.write w b 0 (Bytes.length b));
-    Unix.close w;
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let buf = Bytes.create 256 in
-    let n = Unix.read r buf 0 (Bytes.length buf) in
-    Unix.close r;
-    ignore (Unix.waitpid [] pid);
-    Alcotest.(check string)
-      "child re-derives the same key" parent_key
-      (Bytes.sub_string buf 0 n)
+  match
+    Dfv_par.Pool.map ~jobs:1
+      ~encode:(fun k -> Json.String k)
+      ~decode:(function Json.String k -> Ok k | _ -> Error "expected a key")
+      (fun () -> sec_key (gcd_pair ()) None)
+      [ () ]
+  with
+  | [ Ok key ] ->
+    Alcotest.(check string) "worker re-derives the same key" parent_key key
+  | [ Error e ] -> Alcotest.failf "worker: %s" (Dfv_error.to_string e)
+  | _ -> Alcotest.fail "expected one outcome"
 
 (* --- the daemon end to end ---------------------------------------------- *)
 
@@ -286,31 +275,33 @@ let resolve ~design ~bug =
   if design = "gcd" && bug = "none" then Ok (gcd_pair ())
   else Error (Printf.sprintf "unknown %s/%s" design bug)
 
-(* Fork a server child on [socket].  SIGTERM routes through the pool's
-   cooperative stop flag, so the child exits with the daemon's return
-   code (4: interrupted, resumable). *)
-let fork_server ?store ?summary socket =
-  match Unix.fork () with
-  | 0 ->
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    Unix.dup2 devnull Unix.stdout;
-    Unix.dup2 devnull Unix.stderr;
-    Unix.close devnull;
-    Dfv_par.Pool.reset_stop ();
-    Sys.set_signal Sys.sigterm
-      (Sys.Signal_handle (fun _ -> Dfv_par.Pool.request_stop ()));
-    let cfg =
-      {
-        (Server.default_config ~socket) with
-        Server.capacity = 16;
-        store;
-        summary;
-        jobs = 2;
-      }
-    in
-    let code = try Server.run ~resolve cfg with _ -> 3 in
-    Unix._exit code
-  | pid -> pid
+(* Start a server in a worker process on [socket].  SIGTERM routes
+   through the pool's cooperative stop flag, so the worker exits with
+   the daemon's return code (4: interrupted, resumable). *)
+let start_server ?store ?summary socket =
+  match
+    Dfv_par.Pool.spawn (fun () ->
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        Unix.dup2 devnull Unix.stdout;
+        Unix.dup2 devnull Unix.stderr;
+        Unix.close devnull;
+        Sys.set_signal Sys.sigterm
+          (Sys.Signal_handle (fun _ -> Dfv_par.Pool.request_stop ()));
+        let cfg =
+          {
+            (Server.default_config ~socket) with
+            Server.capacity = 16;
+            store;
+            summary;
+            jobs = 2;
+          }
+        in
+        try Server.run ~resolve cfg with _ -> 3)
+  with
+  | Ok (pid, fd) ->
+    Unix.close fd;
+    pid
+  | Error m -> Alcotest.failf "server: %s" m
 
 let connect socket =
   match Client.connect ~retries:100 ~delay:0.05 socket with
@@ -355,7 +346,7 @@ let test_serve_end_to_end () =
   let socket = Filename.concat dir "s.sock" in
   let store = Filename.concat dir "store.journal" in
   let summary = Filename.concat dir "summary.json" in
-  let pid = fork_server ~store ~summary socket in
+  let pid = start_server ~store ~summary socket in
   (* Two connections issue the same sec query before either answer is
      out, plus duplicate sims: the daemon must spend exactly one solve
      per unique key (coalesced in one batch, or a cache hit across
@@ -450,7 +441,7 @@ let test_serve_end_to_end () =
   Cache.close c;
   (* ...then into a restarted daemon, which must answer from cache
      without solving (cached=true in a brand-new process). *)
-  let pid2 = fork_server ~store socket in
+  let pid2 = start_server ~store socket in
   let c3 = connect socket in
   let r = call c3 sec_op in
   Alcotest.(check bool) "warm hit after restart" true r.Protocol.cached;
@@ -473,7 +464,7 @@ let test_store_survives_sigkill () =
   Unix.mkdir dir 0o700;
   let socket = Filename.concat dir "s.sock" in
   let store = Filename.concat dir "store.journal" in
-  let pid = fork_server ~store socket in
+  let pid = start_server ~store socket in
   let c = connect socket in
   let r =
     call c (Protocol.Sec { design = "gcd"; bug = "none"; budget = None })
@@ -512,7 +503,7 @@ let suite =
     Alcotest.test_case "store refuses foreign journals" `Quick
       test_store_campaign_mismatch;
     Alcotest.test_case "fingerprints stable across processes" `Quick
-      test_fingerprint_stable_across_fork;
+      test_fingerprint_stable_across_processes;
     Alcotest.test_case "daemon end to end" `Quick test_serve_end_to_end;
     Alcotest.test_case "store survives SIGKILL" `Quick
       test_store_survives_sigkill ]
