@@ -1058,638 +1058,63 @@ let client_cmd =
     (Cmd.info "client" ~doc ~exits)
     [ sec; sim; faultsim; ping; stats; shutdown ]
 
+(* --- validate / report --------------------------------------------------- *)
+
+let checked_schemas =
+  String.concat ", "
+    (List.map
+       (fun (schema, reader) -> Printf.sprintf "%s by %s" schema reader)
+       Dfv_artifact.Artifact.checkers)
+
+let files_arg = Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE")
+
+(* One line or block per file, printed as it is produced; an unreadable
+   path fails its own line and the rest still run. *)
+let over_files f files =
+  let buf = Buffer.create 4096 in
+  let ok =
+    List.fold_left
+      (fun acc file ->
+        let r = f buf file in
+        print_string (Buffer.contents buf);
+        Buffer.clear buf;
+        r && acc)
+      true files
+  in
+  if ok then exit_ok else exit_error
+
 let validate_cmd =
   let doc =
-    "Validate machine-readable artifacts: each FILE must parse as JSON \
-     and carry the shared {\"schema\", \"version\"} envelope.  \
-     dfv-trace and dfv-metrics payloads are additionally checked for \
-     their expected shape (traceEvents array; counter/gauge/histogram \
-     objects).  Exits 0 when every file passes, 3 otherwise.  \
-     Line-framed dfv-journal files are recognised by their first line \
-     and checked record by record.  CI runs this over uploaded \
-     BENCH_*.json / fault-report / trace / coverage / journal artifacts."
+    "Validate machine-readable artifacts: each FILE must be readable, \
+     parse as JSON and carry the shared {\"schema\", \"version\"} \
+     envelope, and its payload must pass the check of the module that \
+     writes the schema: " ^ checked_schemas
+    ^ ".  Other schemas pass on their envelope.  Line-framed dfv-journal \
+       files are recognised by their first line.  Prints one ok or FAIL \
+       line per file; exits 0 when every file passes, 3 otherwise.  CI \
+       runs this over every uploaded artifact."
   in
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
-  in
-  let run files =
-    let validate file =
-      let contents =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      (* A journal is line-framed JSON, not one document: recognise it
-         by its first line and validate the whole record stream. *)
-      let first_line =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents 0 i
-        | None -> contents
-      in
-      let is_journal =
-        match Dfv_obs.Json.parse first_line with
-        | Ok v -> (
-          match Dfv_obs.Json.envelope_of v with
-          | Some ("dfv-journal", _) -> true
-          | Some _ | None -> false)
-        | Error _ -> false
-      in
-      if is_journal then
-        match Dfv_par.Journal.inspect file with
-        | Ok info ->
-          Printf.printf "%-40s ok    dfv-journal v1 (%d records%s%s)\n" file
-            info.Dfv_par.Journal.info_records
-            (if info.Dfv_par.Journal.info_dropped > 0 then
-               Printf.sprintf ", %d duplicates dropped"
-                 info.Dfv_par.Journal.info_dropped
-             else "")
-            (if info.Dfv_par.Journal.info_torn then ", torn tail" else "");
-          true
-        | Error m ->
-          Printf.printf "%-40s FAIL  %s\n" file m;
-          false
-      else
-        match Dfv_obs.Json.parse contents with
-        | Error m ->
-          Printf.printf "%-40s FAIL  %s\n" file ("parse error: " ^ m);
-          false
-        | Ok v -> (
-          match Dfv_obs.Json.envelope_of v with
-          | Some (schema, version) -> (
-            (* Structural checks for the schemas dfv itself consumes
-               back (trace merging, metrics merging): the envelope alone
-               does not prove the payload has the right shape. *)
-            let shape =
-              match schema with
-              | "dfv-trace" -> (
-                match Dfv_obs.Json.field "traceEvents" v with
-                | Some (Dfv_obs.Json.List evs) ->
-                  Ok (Printf.sprintf " (%d events)" (List.length evs))
-                | Some _ -> Error "traceEvents is not an array"
-                | None -> Error "missing traceEvents")
-              | "dfv-metrics" ->
-                let section name =
-                  match Dfv_obs.Json.field name v with
-                  | Some (Dfv_obs.Json.Obj _) -> None
-                  | Some _ -> Some (name ^ " is not an object")
-                  | None -> Some ("missing " ^ name)
-                in
-                let missing =
-                  List.filter_map section
-                    [ "counters"; "gauges"; "histograms" ]
-                in
-                if missing = [] then Ok "" else Error (List.hd missing)
-              | "dfv-bench" -> (
-                (* par_speedup now records one row per executor; the CI
-                   gate reads mode/cores out of those rows, so their
-                   shape is part of the artifact contract. *)
-                match Dfv_obs.Json.field "experiment" v with
-                | Some (Dfv_obs.Json.String "par_speedup") -> (
-                  match Dfv_obs.Json.field "modes" v with
-                  | Some (Dfv_obs.Json.List rows) ->
-                    let row_ok row =
-                      (match Dfv_obs.Json.field "mode" row with
-                      | Some (Dfv_obs.Json.String _) -> true
-                      | _ -> false)
-                      && (match Dfv_obs.Json.field "cores" row with
-                         | Some (Dfv_obs.Json.Int _) -> true
-                         | _ -> false)
-                      && (match Dfv_obs.Json.field "speedup" row with
-                         | Some (Dfv_obs.Json.Float _ | Dfv_obs.Json.Int _) ->
-                           true
-                         | _ -> false)
-                    in
-                    if rows = [] then Error "modes is empty"
-                    else if List.for_all row_ok rows then
-                      Ok
-                        (Printf.sprintf " (%d executor rows)"
-                           (List.length rows))
-                    else
-                      Error
-                        "modes rows need string mode, int cores, numeric \
-                         speedup"
-                  | Some _ -> Error "modes is not an array"
-                  | None -> Error "par_speedup is missing modes")
-                | _ -> Ok "")
-              | "dfv-serve" -> (
-                (* The serve smoke uploads the daemon summary; its
-                   endpoint rows and cache counters are what the CI
-                   assertions read, so their shape is contractual. *)
-                match Dfv_obs.Json.field "kind" v with
-                | Some (Dfv_obs.Json.String "summary") -> (
-                  match
-                    ( Dfv_obs.Json.field "requests" v,
-                      Dfv_obs.Json.field "endpoints" v,
-                      Dfv_obs.Json.field "cache" v )
-                  with
-                  | ( Some (Dfv_obs.Json.Int n),
-                      Some (Dfv_obs.Json.List eps),
-                      Some (Dfv_obs.Json.Obj _) ) ->
-                    Ok
-                      (Printf.sprintf " (summary: %d requests, %d endpoints)"
-                         n (List.length eps))
-                  | _ ->
-                    Error
-                      "summary needs int requests, endpoints array, cache \
-                       object")
-                | Some (Dfv_obs.Json.String ("request" | "response")) -> Ok ""
-                | Some (Dfv_obs.Json.String k) ->
-                  Error ("unknown dfv-serve kind " ^ k)
-                | _ -> Error "missing kind")
-              | _ -> Ok ""
-            in
-            match shape with
-            | Ok extra ->
-              Printf.printf "%-40s ok    %s v%d%s\n" file schema version
-                extra;
-              true
-            | Error m ->
-              Printf.printf "%-40s FAIL  %s: %s\n" file schema m;
-              false)
-          | None ->
-            Printf.printf "%-40s FAIL  missing {schema, version} envelope\n"
-              file;
-            false)
-    in
-    let ok =
-      List.fold_left (fun acc f -> validate f && acc) true files
-    in
-    if ok then exit_ok else exit_error
-  in
-  Cmd.v (Cmd.info "validate" ~doc ~exits) Term.(const run $ files_arg)
+  Cmd.v (Cmd.info "validate" ~doc ~exits)
+    Term.(const (over_files Dfv_artifact.Artifact.validate) $ files_arg)
 
-(* --- report ----------------------------------------------------------- *)
-
-(* Human-readable rendering of the machine artifacts: one renderer per
-   schema, dispatched on the shared {"schema","version"} envelope. *)
 let report_cmd =
   let doc =
     "Summarize dfv JSON artifacts for humans: campaign reports (verdict \
      tallies, slowest mutants), journals (resumable progress), metrics \
-     snapshots (counters, histograms, solver-time attribution), merged \
-     traces (per-span time attribution, slowest spans, worker pids) and \
-     coverage reports (holes).  Exits 0 when every file rendered, 3 \
-     otherwise."
+     snapshots (non-zero counters, histograms, solver-time attribution), \
+     merged traces (per-span time attribution, slowest spans, worker \
+     pids), coverage reports (holes) and serve summaries.  Each FILE is \
+     loaded and checked exactly as $(b,dfv validate) does (" ^ checked_schemas
+    ^ "), so a file validate rejects fails here with the same message.  \
+       Exits 0 when every file rendered, 3 otherwise."
   in
-  let files_arg = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   let top_arg =
     Arg.(
       value & opt int 5
       & info [ "top" ] ~docv:"N"
           ~doc:"List the $(docv) slowest mutants/spans and worst holes.")
   in
-  let run top files =
-    let module J = Dfv_obs.Json in
-    let str_field name v =
-      match J.field name v with Some (J.String s) -> Some s | _ -> None
-    in
-    let int_field name v =
-      match J.field name v with Some (J.Int i) -> Some i | _ -> None
-    in
-    let num_field name v =
-      match J.field name v with
-      | Some (J.Float f) -> Some f
-      | Some (J.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    let ints name v = Option.value ~default:0 (int_field name v) in
-    let take n l = List.filteri (fun i _ -> i < n) l in
-    let report_faultsim v =
-      let subjects =
-        match J.field "subjects" v with Some (J.List l) -> l | _ -> []
-      in
-      List.iter
-        (fun s ->
-          Printf.printf
-            "  %-18s %3d mutants: %d detected, %d survived, %d unknown, %d \
-             crashed, %d false-eq%s (%.2fs)\n"
-            (Option.value ~default:"?" (str_field "name" s))
-            (ints "total" s) (ints "detected" s) (ints "survived" s)
-            (ints "unknown" s) (ints "crashed" s) (ints "false_equivalent" s)
-            (let shed = ints "shed" s in
-             if shed > 0 then Printf.sprintf ", %d shed" shed else "")
-            (Option.value ~default:0.0 (num_field "wall_seconds" s)))
-        subjects;
-      (match
-         (num_field "detection_rate" v, J.field "pass" v, int_field
-            "false_equivalents" v)
-       with
-      | Some rate, Some (J.Bool pass), Some false_eq ->
-        Printf.printf
-          "  detection rate %.1f%%, %d false equivalents: %s\n" (100.0 *. rate)
-          false_eq
-          (if pass then "PASS" else "FAIL")
-      | _ -> ());
-      let mutants =
-        List.concat_map
-          (fun s ->
-            let subject = Option.value ~default:"?" (str_field "name" s) in
-            match J.field "faults" s with
-            | Some (J.List fs) ->
-              List.filter_map
-                (fun f ->
-                  match num_field "seconds" f with
-                  | Some sec ->
-                    Some
-                      ( sec,
-                        subject,
-                        Option.value ~default:"?" (str_field "name" f),
-                        Option.value ~default:"?" (str_field "verdict" f) )
-                  | None -> None)
-                fs
-            | _ -> [])
-          subjects
-      in
-      let slowest =
-        take top
-          (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) mutants)
-      in
-      if slowest <> [] then begin
-        Printf.printf "  slowest mutants:\n";
-        List.iter
-          (fun (sec, subject, name, verdict) ->
-            Printf.printf "    %8.3fs  %-18s %-40s %s\n" sec subject name
-              verdict)
-          slowest
-      end
-    in
-    let report_metrics v =
-      (match J.field "counters" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  counters:\n";
-        List.iter
-          (fun (name, c) ->
-            match c with
-            | J.Int n -> Printf.printf "    %-40s %d\n" name n
-            | _ -> ())
-          fs
-      | _ -> ());
-      (match J.field "gauges" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  gauges:\n";
-        List.iter
-          (fun (name, g) ->
-            Printf.printf "    %-40s value=%d max=%d\n" name (ints "value" g)
-              (ints "max" g))
-          fs
-      | _ -> ());
-      match J.field "histograms" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  histograms:\n";
-        List.iter
-          (fun (name, h) ->
-            let count = ints "count" h and sum = ints "sum" h in
-            Printf.printf "    %-40s n=%d sum=%d mean=%.1f\n" name count sum
-              (if count = 0 then 0.0
-               else float_of_int sum /. float_of_int count))
-          fs;
-        (* Time attribution: duration-valued histograms (the [_us]/
-           [_ns]/[_ms] naming convention) as shares of total solver/
-           engine time. *)
-        let unit_scale name =
-          if String.ends_with ~suffix:"_ns" name then 1e-9
-          else if String.ends_with ~suffix:"_us" name then 1e-6
-          else 1e-3
-        in
-        let timed =
-          List.filter_map
-            (fun (name, h) ->
-              if Dfv_obs.Metrics.timing_metric name then
-                Some
-                  ( name,
-                    float_of_int (ints "sum" h) *. unit_scale name,
-                    ints "count" h )
-              else None)
-            fs
-        in
-        let total = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 timed in
-        if timed <> [] && total > 0.0 then begin
-          Printf.printf "  time attribution:\n";
-          List.iter
-            (fun (name, sec, n) ->
-              Printf.printf "    %-40s %8.3fs over %d samples (%4.1f%%)\n"
-                name sec n
-                (100.0 *. sec /. total))
-            (List.sort (fun (_, a, _) (_, b, _) -> compare b a) timed)
-        end
-      | _ -> ()
-    in
-    let report_trace v =
-      let evs =
-        match J.field "traceEvents" v with Some (J.List l) -> l | _ -> []
-      in
-      let spans =
-        List.filter_map
-          (fun e ->
-            match (str_field "ph" e, str_field "name" e) with
-            | Some "X", Some name ->
-              Some
-                ( name,
-                  Option.value ~default:0.0 (num_field "dur" e),
-                  ints "pid" e )
-            | _ -> None)
-          evs
-      in
-      let pids =
-        List.sort_uniq compare
-          (List.filter_map (fun e -> int_field "pid" e) evs)
-      in
-      Printf.printf "  %d spans across %d process(es)%s, %d events dropped\n"
-        (List.length spans) (List.length pids)
-        (match pids with
-        | [] -> ""
-        | _ ->
-          Printf.sprintf " (pids %s)"
-            (String.concat ", " (List.map string_of_int pids)))
-        (ints "dropped" v);
-      (* Per-name attribution, insertion order preserved then sorted by
-         total time. *)
-      let order = ref [] in
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (name, dur, _) ->
-          match Hashtbl.find_opt tbl name with
-          | Some (n, total, mx) ->
-            Hashtbl.replace tbl name (n + 1, total +. dur, max mx dur)
-          | None ->
-            order := name :: !order;
-            Hashtbl.add tbl name (1, dur, dur))
-        spans;
-      let by_name =
-        List.sort
-          (fun (_, (_, a, _)) (_, (_, b, _)) -> compare b a)
-          (List.rev_map (fun n -> (n, Hashtbl.find tbl n)) !order)
-      in
-      if by_name <> [] then begin
-        Printf.printf "  time per span name:\n";
-        List.iter
-          (fun (name, (n, total, mx)) ->
-            Printf.printf "    %-40s %9.3fms over %d spans (max %.3fms)\n"
-              name (total /. 1e3) n (mx /. 1e3))
-          by_name
-      end;
-      let slowest =
-        take top
-          (List.sort (fun (_, a, _) (_, b, _) -> compare b a) spans)
-      in
-      if slowest <> [] then begin
-        Printf.printf "  slowest spans:\n";
-        List.iter
-          (fun (name, dur, pid) ->
-            Printf.printf "    %9.3fms  pid %-7d %s\n" (dur /. 1e3) pid name)
-          slowest
-      end
-    in
-    let report_coverage v =
-      let groups =
-        match J.field "groups" v with Some (J.List l) -> l | _ -> []
-      in
-      let holes = ref [] in
-      List.iter
-        (fun g ->
-          let gname = Option.value ~default:"?" (str_field "name" g) in
-          Printf.printf "  %-30s %.1f%%\n" gname
-            (100.0 *. Option.value ~default:0.0 (num_field "coverage" g));
-          match J.field "points" g with
-          | Some (J.List ps) ->
-            List.iter
-              (fun p ->
-                let pname = Option.value ~default:"?" (str_field "name" p) in
-                Printf.printf "    %-28s %.1f%% (%d samples)\n" pname
-                  (100.0 *. Option.value ~default:0.0 (num_field "coverage" p))
-                  (ints "samples" p);
-                let at_least = max 1 (ints "at_least" p) in
-                match J.field "bins" p with
-                | Some (J.List bs) ->
-                  List.iter
-                    (fun b ->
-                      let hits = ints "hits" b in
-                      if
-                        str_field "kind" b = Some "count" && hits < at_least
-                      then
-                        holes :=
-                          ( at_least - hits,
-                            Printf.sprintf "%s/%s/%s" gname pname
-                              (Option.value ~default:"?" (str_field "name" b)),
-                            hits, at_least )
-                          :: !holes)
-                    bs
-                | _ -> ())
-              ps
-          | _ -> ())
-        groups;
-      let holes = List.rev !holes in
-      if holes <> [] then begin
-        Printf.printf "  %d coverage hole(s); worst:\n" (List.length holes);
-        List.iter
-          (fun (_, where, hits, need) ->
-            Printf.printf "    %-50s %d/%d hits\n" where hits need)
-          (take top
-             (List.sort
-                (fun (a, _, _, _) (b, _, _, _) -> compare b a)
-                holes))
-      end
-      else Printf.printf "  no coverage holes\n"
-    in
-    let report_serve v =
-      (match int_field "requests" v with
-      | Some n -> Printf.printf "  %d request(s)\n" n
-      | None -> ());
-      (match J.field "endpoints" v with
-      | Some (J.List eps) when eps <> [] ->
-        Printf.printf "  endpoints:\n";
-        List.iter
-          (fun e ->
-            Printf.printf
-              "    %-10s %4d requests: %d hits (%.1f%% hit rate), %d \
-               misses, %d solves, %d errors, mean %.3fs\n"
-              (Option.value ~default:"?" (str_field "op" e))
-              (ints "requests" e) (ints "hits" e)
-              (100.0 *. Option.value ~default:0.0 (num_field "hit_rate" e))
-              (ints "misses" e) (ints "solves" e) (ints "errors" e)
-              (Option.value ~default:0.0 (num_field "mean_seconds" e)))
-          eps
-      | _ -> ());
-      (match J.field "cache" v with
-      | Some c ->
-        let h = ints "hits" c and m = ints "misses" c in
-        Printf.printf
-          "  cache: %d/%d entries, %d hits / %d misses (%.1f%% hit rate), \
-           %d evicted, %d replayed, %d rejected\n"
-          (ints "size" c) (ints "capacity" c) h m
-          (if h + m = 0 then 0.0
-           else 100.0 *. float_of_int h /. float_of_int (h + m))
-          (ints "evicted" c) (ints "replayed" c) (ints "rejected" c)
-      | None -> ());
-      (match num_field "uptime_seconds" v with
-      | Some s -> Printf.printf "  uptime %.1fs\n" s
-      | None -> ());
-      match J.field "log" v with
-      | Some (J.List log) when log <> [] ->
-        (* Status tally over the request log, then the slowest entries. *)
-        let order = ref [] in
-        let tally = Hashtbl.create 8 in
-        List.iter
-          (fun e ->
-            let s = Option.value ~default:"?" (str_field "status" e) in
-            match Hashtbl.find_opt tally s with
-            | Some n -> Hashtbl.replace tally s (n + 1)
-            | None ->
-              order := s :: !order;
-              Hashtbl.add tally s 1)
-          log;
-        Printf.printf "  request log (%d entries%s):\n" (List.length log)
-          (match J.field "log_truncated" v with
-          | Some (J.Bool true) -> ", truncated"
-          | _ -> "");
-        List.iter
-          (fun s -> Printf.printf "    %-30s %d\n" s (Hashtbl.find tally s))
-          (List.rev !order);
-        let slow =
-          take top
-            (List.sort
-               (fun a b ->
-                 compare
-                   (Option.value ~default:0.0 (num_field "seconds" b))
-                   (Option.value ~default:0.0 (num_field "seconds" a)))
-               log)
-        in
-        Printf.printf "  slowest requests:\n";
-        List.iter
-          (fun e ->
-            Printf.printf "    %8.3fs  %-10s %s%s\n"
-              (Option.value ~default:0.0 (num_field "seconds" e))
-              (Option.value ~default:"?" (str_field "op" e))
-              (Option.value ~default:"?" (str_field "status" e))
-              (match J.field "cached" e with
-              | Some (J.Bool true) -> " (cached)"
-              | _ -> ""))
-          slow
-      | _ -> ()
-    in
-    let report_generic v =
-      match v with
-      | J.Obj fields ->
-        List.iter
-          (fun (name, f) ->
-            if name <> "schema" && name <> "version" then
-              match f with
-              | J.Int n -> Printf.printf "  %-30s %d\n" name n
-              | J.Float x -> Printf.printf "  %-30s %g\n" name x
-              | J.Bool b -> Printf.printf "  %-30s %b\n" name b
-              | J.String s when String.length s <= 120 ->
-                Printf.printf "  %-30s %s\n" name s
-              | J.String s -> Printf.printf "  %-30s <%d chars>\n" name (String.length s)
-              | J.List l -> Printf.printf "  %-30s [%d items]\n" name (List.length l)
-              | J.Obj o -> Printf.printf "  %-30s {%d fields}\n" name (List.length o)
-              | J.Null -> ())
-          fields
-      | _ -> ()
-    in
-    (* A journal is a record stream, not one document: summarize the
-       header info and tally the journaled verdicts. *)
-    let report_journal file contents =
-      match Dfv_par.Journal.inspect file with
-      | Error m ->
-        Printf.printf "  FAIL %s\n" m;
-        false
-      | Ok info ->
-        Printf.printf "  %d result record(s)%s%s\n"
-          info.Dfv_par.Journal.info_records
-          (if info.Dfv_par.Journal.info_dropped > 0 then
-             Printf.sprintf ", %d duplicates dropped"
-               info.Dfv_par.Journal.info_dropped
-           else "")
-          (if info.Dfv_par.Journal.info_torn then ", torn tail" else "");
-        let order = ref [] in
-        let tally = Hashtbl.create 8 in
-        String.split_on_char '\n' contents
-        |> List.iter (fun line ->
-               if String.trim line <> "" then
-                 match J.parse line with
-                 | Ok r when str_field "kind" r = Some "result" -> (
-                   let label =
-                     match J.field "payload" r with
-                     | Some p -> (
-                       match (str_field "verdict" p, J.field "verdict" p) with
-                       | Some s, _ -> Some s
-                       | None, Some vk -> str_field "kind" vk
-                       | None, None -> str_field "kind" p)
-                     | None -> None
-                   in
-                   match label with
-                   | Some l ->
-                     (match Hashtbl.find_opt tally l with
-                     | Some n -> Hashtbl.replace tally l (n + 1)
-                     | None ->
-                       order := l :: !order;
-                       Hashtbl.add tally l 1)
-                   | None -> ())
-                 | _ -> ());
-        List.iter
-          (fun l -> Printf.printf "    %-30s %d\n" l (Hashtbl.find tally l))
-          (List.rev !order);
-        true
-    in
-    let render file =
-      let contents =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      let first_line =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents 0 i
-        | None -> contents
-      in
-      let is_journal =
-        match J.parse first_line with
-        | Ok v -> (
-          match J.envelope_of v with
-          | Some ("dfv-journal", _) -> true
-          | Some _ | None -> false)
-        | Error _ -> false
-      in
-      if is_journal then begin
-        Printf.printf "%s — dfv-journal v1\n" file;
-        report_journal file contents
-      end
-      else
-        match J.parse contents with
-        | Error m ->
-          Printf.printf "%s — FAIL parse error: %s\n" file m;
-          false
-        | Ok v -> (
-          match J.envelope_of v with
-          | None ->
-            Printf.printf "%s — FAIL missing {schema, version} envelope\n"
-              file;
-            false
-          | Some (schema, version) ->
-            Printf.printf "%s — %s v%d\n" file schema version;
-            (match schema with
-            | "dfv-faultsim" -> report_faultsim v
-            | "dfv-metrics" -> report_metrics v
-            | "dfv-trace" -> report_trace v
-            | "dfv-coverage" -> report_coverage v
-            | "dfv-serve" -> report_serve v
-            | _ -> report_generic v);
-            true)
-    in
-    let ok =
-      List.fold_left
-        (fun acc f ->
-          let r = render f in
-          print_newline ();
-          r && acc)
-        true files
-    in
-    if ok then exit_ok else exit_error
-  in
+  let run top = over_files (Dfv_artifact.Artifact.report ~top) in
   Cmd.v (Cmd.info "report" ~doc ~exits) Term.(const run $ top_arg $ files_arg)
 
 let triage_cmd =

@@ -161,22 +161,9 @@ let to_json e =
   | Internal m -> obj "internal" [ ("detail", str m) ]
 
 let of_json v =
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
-  let int name =
-    match Json.field name v with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "missing int field %S" name)
-  in
-  let num name =
-    match Json.field name v with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing number field %S" name)
-  in
+  let str name = Json.string_field name v in
+  let int name = Json.int_field name v in
+  let num name = Json.number_field name v in
   let ( let* ) = Result.bind in
   let* kind = str "kind" in
   match kind with

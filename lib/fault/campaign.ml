@@ -99,17 +99,8 @@ let verdict_to_json = function
 
 let verdict_of_json v =
   let ( let* ) = Result.bind in
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
-  let seconds () =
-    match Json.field "seconds" v with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error "missing number field \"seconds\""
-  in
+  let str name = Json.string_field name v in
+  let seconds () = Json.number_field "seconds" v in
   let* kind = str "kind" in
   match kind with
   | "detected" ->
@@ -148,11 +139,7 @@ let result_to_json r =
 
 let result_of_json v =
   let ( let* ) = Result.bind in
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
+  let str name = Json.string_field name v in
   let* m_name = str "name" in
   let* m_class = str "class" in
   let* m_site = str "site" in
@@ -612,3 +599,30 @@ let json_of_reports ~min_rate reports =
          ("false_equivalents", Json.Int false_eq);
          ("pass", Json.Bool (rate >= min_rate && false_eq = 0));
          ("subjects", Json.List (List.map report_json reports)) ])
+
+let check_report j =
+  let ( let* ) = Result.bind in
+  let fault f =
+    let* () = Json.has Json.string_field [ "name"; "verdict" ] f in
+    if Json.field "seconds" f = None then Ok ()
+    else Json.has Json.number_field [ "seconds" ] f
+  in
+  let subject s =
+    let* name = Json.string_field "name" s in
+    Result.map_error (fun m -> "subject " ^ name ^ ": " ^ m)
+    @@ let* () =
+         Json.has Json.int_field
+           [ "total"; "detected"; "survived"; "unknown"; "crashed";
+             "false_equivalent"; "mislocalized"; "shed" ]
+           s
+       in
+       let* () = Json.has Json.number_field [ "wall_seconds" ] s in
+       Result.bind (Json.list_field "faults" s) (Json.each fault)
+  in
+  match (Json.envelope_of j, Json.field "pass" j) with
+  | Some ("dfv-faultsim", 1), Some (Json.Bool _) ->
+    let* () = Json.has Json.number_field [ "detection_rate" ] j in
+    let* () = Json.has Json.int_field [ "false_equivalents" ] j in
+    Result.bind (Json.list_field "subjects" j) (Json.each subject)
+  | Some ("dfv-faultsim", 1), _ -> Error "missing bool field \"pass\""
+  | _ -> Error "not a dfv-faultsim v1 report"

@@ -167,3 +167,9 @@ val json_of_reports : min_rate:float -> report list -> string
 (** The machine-readable campaign report: overall rate and gate plus
     per-subject, per-fault verdicts, rendered via {!Dfv_obs.Json} under
     the common envelope [{"schema":"dfv-faultsim","version":1,...}]. *)
+
+val check_report : Dfv_obs.Json.t -> (unit, string) result
+(** Whether a document has the shape {!json_of_reports} writes: the
+    gate fields, and per subject its name, verdict tallies, wall time
+    and faults (each named, with a verdict and, when timed, numeric
+    [seconds]).  The error names the first offending field. *)

@@ -144,6 +144,7 @@ let group_coverage g =
 let group_name g = g.grp_name
 let points g = List.rev g.grp_points
 let point_name p = p.pt_name
+let at_least p = p.pt_at_least
 let groups () = List.rev registry.order
 
 let reset () =
@@ -227,85 +228,89 @@ let release_domain () =
     Atomic.decr shadows_active
   | None -> ()
 
-(* -- cross-process merge ---------------------------------------------- *)
+(* -- the wire form ------------------------------------------------------ *)
 
-let int_field name j =
-  match Json.field name j with Some (Json.Int i) -> Some i | _ -> None
+(* Decode one point of a snapshot into an unregistered point carrying
+   the shipped hit counts: the bins are rebuilt from their descriptors,
+   so a reader needs no prior registration. *)
+let point_of_json pj =
+  let ( let* ) = Result.bind in
+  let* name = Json.string_field "name" pj in
+  let* bins = Json.list_field "bins" pj in
+  let bin_of_json bj =
+    let* bname = Json.string_field "name" bj in
+    let* k = Json.string_field "kind" bj in
+    let* lo = Json.int_field "lo" bj in
+    let* hi = Json.int_field "hi" bj in
+    let* hits = Json.int_field "hits" bj in
+    match kind_of_string k with
+    | Some kind when hi >= lo -> Ok (bin ~kind bname ~lo ~hi, hits)
+    | _ -> Error "bad bin"
+  in
+  match List.map bin_of_json bins with
+  | descr when List.for_all Result.is_ok descr ->
+    let descr = List.map Result.get_ok descr in
+    let count f = Result.value ~default:0 (Json.int_field f pj) in
+    Ok
+      {
+        pt_name = name;
+        pt_bins = Array.of_list (List.map fst descr);
+        pt_hits = Array.of_list (List.map snd descr);
+        pt_at_least = max 1 (count "at_least");
+        pt_illegal = count "illegal_hits";
+        pt_misses = count "misses";
+        pt_samples = count "samples";
+      }
+  | _ -> Error ("malformed bin in point " ^ name)
 
-let str_field name j =
-  match Json.field name j with Some (Json.String s) -> Some s | _ -> None
+(* Fold a decoded point into a group: a new name adopts it as is, a
+   known one sums its counts bin by bin.  Merging never re-emits
+   illegal-hit trace instants — the worker already recorded those when
+   it sampled. *)
+let merge_point g wp =
+  match List.find_opt (fun p -> p.pt_name = wp.pt_name) g.grp_points with
+  | None ->
+    g.grp_points <- wp :: g.grp_points;
+    Ok ()
+  | Some p when Array.length p.pt_bins <> Array.length wp.pt_bins ->
+    Error ("bin shape mismatch in point " ^ wp.pt_name)
+  | Some p ->
+    Array.iteri (fun i h -> p.pt_hits.(i) <- p.pt_hits.(i) + h) wp.pt_hits;
+    p.pt_illegal <- p.pt_illegal + wp.pt_illegal;
+    p.pt_misses <- p.pt_misses + wp.pt_misses;
+    p.pt_samples <- p.pt_samples + wp.pt_samples;
+    Ok ()
 
-(* Rebuild a worker's bins from their wire descriptors so the parent
-   needs no prior registration: groups and points are found-or-created
-   with the shipped shape, then hit counts are summed by bin position.
-   Merging never re-emits illegal-hit trace instants — the worker
-   already recorded those when it sampled. *)
-let merge_point g pj =
-  match (str_field "name" pj, Json.field "bins" pj) with
-  | Some name, Some (Json.List bins_j) ->
-    let descr =
-      List.map
-        (fun bj ->
-          match
-            ( str_field "name" bj,
-              str_field "kind" bj,
-              int_field "lo" bj,
-              int_field "hi" bj,
-              int_field "hits" bj )
-          with
-          | Some bname, Some k, Some lo, Some hi, Some hits -> (
-            match kind_of_string k with
-            | Some kind when hi >= lo -> Some (bin ~kind bname ~lo ~hi, hits)
-            | _ -> None)
-          | _ -> None)
-        bins_j
-    in
-    if List.exists (fun d -> d = None) descr then
-      Error ("Coverage.merge: malformed bin in point " ^ name)
-    else begin
-      let descr = List.filter_map Fun.id descr in
-      let at_least =
-        match int_field "at_least" pj with Some a when a >= 1 -> a | _ -> 1
-      in
-      let p = point g name ~at_least (List.map fst descr) in
-      if Array.length p.pt_bins <> List.length descr then
-        Error ("Coverage.merge: bin shape mismatch in point " ^ name)
-      else begin
-        List.iteri (fun i (_, hits) -> p.pt_hits.(i) <- p.pt_hits.(i) + hits)
-          descr;
-        (match int_field "illegal_hits" pj with
-        | Some n -> p.pt_illegal <- p.pt_illegal + n
-        | None -> ());
-        (match int_field "misses" pj with
-        | Some n -> p.pt_misses <- p.pt_misses + n
-        | None -> ());
-        (match int_field "samples" pj with
-        | Some n -> p.pt_samples <- p.pt_samples + n
-        | None -> ());
-        Ok ()
-      end
-    end
-  | _ -> Error "Coverage.merge: malformed point"
-
-let merge j =
+(* The one reader of the snapshot wire form, behind {!merge}, {!read}
+   and {!check}: [group] resolves each group by name, every point is
+   decoded and folded into it.  The first error is reported; the
+   well-formed points after it are still folded. *)
+let walk ~group j =
   match Json.envelope_of j with
   | Some ("dfv-coverage", 1) -> (
     match Json.field "groups" j with
     | Some (Json.List gs) ->
-      List.fold_left
-        (fun acc gj ->
-          match (str_field "name" gj, Json.field "points" gj) with
-          | Some gname, Some (Json.List ps) ->
+      let first = ref (Ok ()) in
+      let note r = if Result.is_ok !first then first := r in
+      List.iter
+        (fun gj ->
+          match (Json.string_field "name" gj, Json.field "points" gj) with
+          | Ok gname, Some (Json.List ps) ->
             let g = group gname in
-            List.fold_left
-              (fun acc pj ->
-                match merge_point g pj with
-                | Ok () -> acc
-                | Error _ as e -> if acc = Ok () then e else acc)
-              acc ps
-          | _ ->
-            if acc = Ok () then Error "Coverage.merge: malformed group"
-            else acc)
-        (Ok ()) gs
-    | _ -> Error "Coverage.merge: missing groups")
-  | _ -> Error "Coverage.merge: not a dfv-coverage v1 snapshot"
+            List.iter
+              (fun pj -> note (Result.bind (point_of_json pj) (merge_point g)))
+              ps
+          | _ -> note (Error "malformed group"))
+        gs;
+      !first
+    | _ -> Error "missing groups")
+  | _ -> Error "not a dfv-coverage v1 snapshot"
+
+let merge j =
+  walk ~group j |> Result.map_error (fun m -> "Coverage.merge: " ^ m)
+
+let read j =
+  let r = fresh_registry () in
+  walk ~group:(group_in r) j |> Result.map (fun () -> List.rev r.order)
+
+let check j = Result.map ignore (read j)

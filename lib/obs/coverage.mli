@@ -52,6 +52,7 @@ val group_coverage : group -> float
 val group_name : group -> string
 val points : group -> point list
 val point_name : point -> string
+val at_least : point -> int
 val groups : unit -> group list
 
 val reset : unit -> unit
@@ -76,6 +77,15 @@ val merge : Json.t -> (unit, string) result
     sampling, and never re-emits illegal-hit trace instants.  Errors
     name the first malformed or shape-mismatched point; well-formed
     points are still merged. *)
+
+val read : Json.t -> (group list, string) result
+(** Decode a {!snapshot} into unregistered groups, in document order,
+    with the same walker as {!merge}; the typed accessors above then
+    read it.  Errors are {!merge}'s, without its prefix. *)
+
+val check : Json.t -> (unit, string) result
+(** Whether a document is a well-formed {!snapshot} ({!read}, result
+    dropped). *)
 
 (** {2 Domain-local isolation}
 

@@ -278,6 +278,33 @@ let field name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
+let string_field name v =
+  match field name v with
+  | Some (String s) -> Ok s
+  | _ -> Error (Printf.sprintf "missing string field %S" name)
+
+let int_field name v =
+  match field name v with
+  | Some (Int i) -> Ok i
+  | _ -> Error (Printf.sprintf "missing int field %S" name)
+
+let number_field name v =
+  match field name v with
+  | Some (Float f) -> Ok f
+  | Some (Int i) -> Ok (float_of_int i)
+  | _ -> Error (Printf.sprintf "missing number field %S" name)
+
+let list_field name v =
+  match field name v with
+  | Some (List l) -> Ok l
+  | _ -> Error (Printf.sprintf "missing list field %S" name)
+
+let rec each f = function
+  | [] -> Ok ()
+  | x :: rest -> ( match f x with Ok () -> each f rest | Error _ as e -> e)
+
+let has read names v = each (fun name -> Result.map ignore (read name v)) names
+
 let envelope_of v =
   match (field "schema" v, field "version" v) with
   | Some (String schema), Some (Int version) -> Some (schema, version)

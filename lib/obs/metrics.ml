@@ -262,62 +262,71 @@ let timing_metric name =
   in
   suffixed "_us" || suffixed "_ns" || suffixed "_ms"
 
-let merge j =
-  let err what = Error ("Metrics.merge: " ^ what) in
+(* The one reader of the snapshot wire form: [merge] folds every
+   well-formed entry into the registry, [check] only looks, and renderers
+   collect.  The first malformed entry is reported; the valid entries
+   after it are still visited. *)
+let iter ~counter:on_counter ~gauge:on_gauge ~histogram:on_histogram j =
   match Json.envelope_of j with
   | Some ("dfv-metrics", 1) ->
     let bad = ref None in
     let fail what = if !bad = None then bad := Some what in
-    (match Json.field "counters" j with
-    | Some (Json.Obj fields) ->
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Json.Int n -> add (counter name) n
-          | _ -> fail ("counter " ^ name))
-        fields
-    | _ -> fail "counters");
-    (match Json.field "gauges" j with
-    | Some (Json.Obj fields) ->
-      List.iter
-        (fun (name, v) ->
-          match (Json.field "value" v, Json.field "max" v) with
-          | Some (Json.Int value), Some (Json.Int max_v) ->
-            let g = gauge name in
-            (* Max-of-high-water: a merged gauge reports the peak any
-               process saw; the instantaneous value has no cross-process
-               meaning, so it too takes the max. *)
-            if value > g.g then g.g <- value;
-            if max_v > g.g_max then g.g_max <- max_v
-          | _ -> fail ("gauge " ^ name))
-        fields
-    | _ -> fail "gauges");
-    (match Json.field "histograms" j with
-    | Some (Json.Obj fields) ->
-      List.iter
-        (fun (name, v) ->
-          match
-            (Json.field "count" v, Json.field "sum" v, Json.field "buckets" v)
-          with
-          | Some (Json.Int count), Some (Json.Int sum), Some (Json.List bs) ->
-            let h = histogram name in
-            h.h_count <- h.h_count + count;
-            h.h_sum <- h.h_sum + sum;
-            List.iter
-              (fun b ->
-                match (Json.field "lo" b, Json.field "count" b) with
-                | Some (Json.Int lo), Some (Json.Int n) ->
-                  (* [bucket_of lo] inverts [bucket_bounds]: lo <= 0 is
-                     bucket 0, lo = 2^(i-1) is bucket i. *)
-                  let i = bucket_of lo in
-                  h.buckets.(i) <- h.buckets.(i) + n
-                | _ -> fail ("histogram bucket in " ^ name))
-              bs
-          | _ -> fail ("histogram " ^ name))
-        fields
-    | _ -> fail "histograms");
-    (match !bad with None -> Ok () | Some what -> err ("malformed " ^ what))
-  | _ -> err "not a dfv-metrics v1 snapshot"
+    let section name f =
+      match Json.field name j with
+      | Some (Json.Obj fields) -> List.iter (fun (n, v) -> f n v) fields
+      | _ -> fail name
+    in
+    section "counters" (fun name v ->
+        match v with
+        | Json.Int n -> on_counter name n
+        | _ -> fail ("counter " ^ name));
+    section "gauges" (fun name v ->
+        match (Json.field "value" v, Json.field "max" v) with
+        | Some (Json.Int value), Some (Json.Int max_v) ->
+          on_gauge name value max_v
+        | _ -> fail ("gauge " ^ name));
+    section "histograms" (fun name v ->
+        match
+          (Json.field "count" v, Json.field "sum" v, Json.field "buckets" v)
+        with
+        | Some (Json.Int count), Some (Json.Int sum), Some (Json.List bs) ->
+          let bucket = on_histogram name count sum in
+          List.iter
+            (fun b ->
+              match (Json.field "lo" b, Json.field "count" b) with
+              | Some (Json.Int lo), Some (Json.Int n) -> bucket lo n
+              | _ -> fail ("histogram bucket in " ^ name))
+            bs
+        | _ -> fail ("histogram " ^ name));
+    (match !bad with None -> Ok () | Some what -> Error ("malformed " ^ what))
+  | _ -> Error "not a dfv-metrics v1 snapshot"
+
+let check =
+  iter
+    ~counter:(fun _ _ -> ())
+    ~gauge:(fun _ _ _ -> ())
+    ~histogram:(fun _ _ _ _ _ -> ())
+
+let merge j =
+  iter j
+    ~counter:(fun name n -> add (counter name) n)
+    ~gauge:(fun name value max_v ->
+      let g = gauge name in
+      (* Max-of-high-water: a merged gauge reports the peak any process
+         saw; the instantaneous value has no cross-process meaning, so
+         it too takes the max. *)
+      if value > g.g then g.g <- value;
+      if max_v > g.g_max then g.g_max <- max_v)
+    ~histogram:(fun name count sum ->
+      let h = histogram name in
+      h.h_count <- h.h_count + count;
+      h.h_sum <- h.h_sum + sum;
+      fun lo n ->
+        (* [bucket_of lo] inverts [bucket_bounds]: lo <= 0 is bucket 0,
+           lo = 2^(i-1) is bucket i. *)
+        let i = bucket_of lo in
+        h.buckets.(i) <- h.buckets.(i) + n)
+  |> Result.map_error (fun m -> "Metrics.merge: " ^ m)
 
 (* Reduce a snapshot to its run-deterministic core: drop duration-valued
    metrics wholesale and keep only the high-water mark of each gauge, so

@@ -86,6 +86,22 @@ val merge : Json.t -> (unit, string) result
     Unknown names register on the fly; a malformed snapshot reports the
     first offending field (already-valid fields are still merged). *)
 
+val check : Json.t -> (unit, string) result
+(** Whether a document is a well-formed {!snapshot}, read by the same
+    walker as {!merge} without touching the registry; the error names
+    the first malformed entry, as {!merge}'s does. *)
+
+val iter :
+  counter:(string -> int -> unit) ->
+  gauge:(string -> int -> int -> unit) ->
+  histogram:(string -> int -> int -> int -> int -> unit) ->
+  Json.t ->
+  (unit, string) result
+(** The walker behind {!merge} and {!check}: calls [counter name value],
+    [gauge name value max] and [histogram name count sum] (the result
+    then takes each bucket's [lo] and [count]) for every well-formed
+    entry, in document order. *)
+
 val timing_metric : string -> bool
 (** Whether a metric name denotes a duration-valued (hence
     run-nondeterministic) metric — suffix [_us], [_ns] or [_ms]. *)

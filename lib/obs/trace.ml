@@ -242,6 +242,27 @@ let to_json () =
         ("dropped", Json.Int (local_dropped s + s.foreign_dropped));
         ("maxDepth", Json.Int s.max_depth) ]
 
+(* What a dfv-trace reader may rely on: the envelope {!to_json} writes,
+   every event naming itself, its phase and its process lane, and every
+   complete ("X") event carrying its duration. *)
+let check j =
+  let ( let* ) = Result.bind in
+  let event i e =
+    Result.map_error (Printf.sprintf "event %d: %s" i)
+    @@ let* () = Json.has Json.string_field [ "name"; "ph" ] e in
+       let* () = Json.has Json.int_field [ "pid" ] e in
+       if Json.field "ph" e = Some (Json.String "X") then
+         Json.has Json.number_field [ "dur" ] e
+       else Ok ()
+  in
+  match (Json.envelope_of j, Json.field "traceEvents" j) with
+  | Some ("dfv-trace", 1), Some (Json.List evs) ->
+    let* () = Json.has Json.int_field [ "dropped" ] j in
+    Json.each Fun.id (List.mapi event evs)
+  | Some ("dfv-trace", 1), Some _ -> Error "traceEvents is not an array"
+  | Some ("dfv-trace", 1), None -> Error "missing traceEvents"
+  | _ -> Error "not a dfv-trace v1 document"
+
 (* The bare Chrome "JSON array format": no envelope keys at all, for
    tools that choke on the object form.  The drop count still travels,
    as an instant in the stream rather than a top-level field. *)
@@ -324,17 +345,13 @@ let release_domain () =
   | None -> ()
 
 let ev_of_wire ~pid ~job ~offset_us j =
-  let str name = match Json.field name j with
-    | Some (Json.String s) -> Some s
-    | _ -> None
-  in
-  let num name = match Json.field name j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  match (str "name", str "ph", num "ts", num "dur") with
-  | Some name, Some ph, Some ts, Some dur when String.length ph = 1 ->
+  match
+    ( Json.string_field "name" j,
+      Json.string_field "ph" j,
+      Json.number_field "ts" j,
+      Json.number_field "dur" j )
+  with
+  | Ok name, Ok ph, Ok ts, Ok dur when String.length ph = 1 ->
     let args =
       match Json.field "args" j with Some (Json.Obj a) -> a | _ -> []
     in
@@ -346,7 +363,7 @@ let ev_of_wire ~pid ~job ~offset_us j =
     Some
       {
         ev_name = name;
-        ev_cat = (match str "cat" with Some c -> c | None -> "dfv");
+        ev_cat = Result.value ~default:"dfv" (Json.string_field "cat" j);
         ev_ph = ph.[0];
         ev_ts = ts +. offset_us;
         ev_dur = dur;

@@ -62,6 +62,13 @@ val to_json : unit -> Json.t
     events labelling each lane; ["dropped"] counts ring overwrites here
     {e plus} drops reported by absorbed exports. *)
 
+val check : Json.t -> (unit, string) result
+(** Whether a document has the shape {!to_json} writes: the
+    [dfv-trace] v1 envelope, an int ["dropped"], and ["traceEvents"]
+    whose every event has a string ["name"] and ["ph"], an int ["pid"],
+    and — for complete (["X"]) events — a numeric ["dur"].  The error
+    names the first offending event. *)
+
 val raw_json : unit -> Json.t
 (** The bare Chrome "JSON array format" — just the event list, no
     envelope keys — for consumers that reject the object form.  A

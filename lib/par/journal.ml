@@ -180,6 +180,7 @@ type info = {
   info_records : int;
   info_dropped : int;
   info_torn : bool;
+  info_payloads : Json.t list;
 }
 
 let inspect path =
@@ -192,6 +193,7 @@ let inspect path =
         info_records = List.length l.l_results;
         info_dropped = l.l_dropped;
         info_torn = l.l_torn;
+        info_payloads = List.map snd l.l_results;
       }
 
 (* --- writing ------------------------------------------------------------ *)

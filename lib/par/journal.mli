@@ -94,6 +94,7 @@ type info = {
   info_records : int;  (** result records (after duplicate-dropping) *)
   info_dropped : int;  (** duplicates dropped *)
   info_torn : bool;  (** a torn final segment was dropped *)
+  info_payloads : Dfv_obs.Json.t list;  (** result payloads, in order *)
 }
 
 val inspect : string -> (info, string) result

@@ -1,6 +1,5 @@
 module Bitvec = Dfv_bitvec.Bitvec
 module Solver = Dfv_sat.Solver
-module Sim = Dfv_rtl.Sim
 module Interp = Dfv_hwir.Interp
 module Checker = Dfv_sec.Checker
 module Session = Dfv_sec.Session
@@ -39,48 +38,30 @@ let stats_to_json (s : Checker.stats) =
 
 let ( let* ) = Result.bind
 
-let int_field v name =
-  match Json.field name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" name)
-
-let float_field v name =
-  match Json.field name v with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing float field %S" name)
-
-let string_field v name =
-  match Json.field name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
 let stats_of_json v : (Checker.stats, string) result =
-  let* aig_ands = int_field v "aig_ands" in
-  let* sat_conflicts = int_field v "sat_conflicts" in
-  let* sat_decisions = int_field v "sat_decisions" in
-  let* sat_propagations = int_field v "sat_propagations" in
-  let* sat_clauses = int_field v "sat_clauses" in
-  let* learnts_removed = int_field v "learnts_removed" in
-  let* nodes_encoded = int_field v "nodes_encoded" in
-  let* nodes_reused = int_field v "nodes_reused" in
-  let* unroll_hits = int_field v "unroll_hits" in
-  let* queries = int_field v "queries" in
-  let* unknowns = int_field v "unknowns" in
+  let* aig_ands = Json.int_field "aig_ands" v in
+  let* sat_conflicts = Json.int_field "sat_conflicts" v in
+  let* sat_decisions = Json.int_field "sat_decisions" v in
+  let* sat_propagations = Json.int_field "sat_propagations" v in
+  let* sat_clauses = Json.int_field "sat_clauses" v in
+  let* learnts_removed = Json.int_field "learnts_removed" v in
+  let* nodes_encoded = Json.int_field "nodes_encoded" v in
+  let* nodes_reused = Json.int_field "nodes_reused" v in
+  let* unroll_hits = Json.int_field "unroll_hits" v in
+  let* queries = Json.int_field "queries" v in
+  let* unknowns = Json.int_field "unknowns" v in
+  let* fs = Json.list_field "frame_seconds" v in
   let* frame_seconds =
-    match Json.field "frame_seconds" v with
-    | Some (Json.List fs) ->
-      List.fold_right
-        (fun f acc ->
-          let* acc = acc in
-          match f with
-          | Json.Float f -> Ok (f :: acc)
-          | Json.Int i -> Ok (float_of_int i :: acc)
-          | _ -> Error "non-number frame time")
-        fs (Ok [])
-    | _ -> Error "missing list field \"frame_seconds\""
+    List.fold_right
+      (fun f acc ->
+        let* acc = acc in
+        match f with
+        | Json.Float f -> Ok (f :: acc)
+        | Json.Int i -> Ok (float_of_int i :: acc)
+        | _ -> Error "non-number frame time")
+      fs (Ok [])
   in
-  let* wall_seconds = float_field v "wall_seconds" in
+  let* wall_seconds = Json.number_field "wall_seconds" v in
   Ok
     {
       Checker.aig_ands;
@@ -97,40 +78,6 @@ let stats_of_json v : (Checker.stats, string) result =
       frame_seconds;
       wall_seconds;
     }
-
-let add_stats (a : Checker.stats) (b : Checker.stats) =
-  {
-    Checker.aig_ands = a.aig_ands + b.aig_ands;
-    sat_conflicts = a.sat_conflicts + b.sat_conflicts;
-    sat_decisions = a.sat_decisions + b.sat_decisions;
-    sat_propagations = a.sat_propagations + b.sat_propagations;
-    sat_clauses = a.sat_clauses + b.sat_clauses;
-    learnts_removed = a.learnts_removed + b.learnts_removed;
-    nodes_encoded = a.nodes_encoded + b.nodes_encoded;
-    nodes_reused = a.nodes_reused + b.nodes_reused;
-    unroll_hits = a.unroll_hits + b.unroll_hits;
-    queries = a.queries + b.queries;
-    unknowns = a.unknowns + b.unknowns;
-    frame_seconds = a.frame_seconds @ b.frame_seconds;
-    wall_seconds = a.wall_seconds +. b.wall_seconds;
-  }
-
-let zero_stats =
-  {
-    Checker.aig_ands = 0;
-    sat_conflicts = 0;
-    sat_decisions = 0;
-    sat_propagations = 0;
-    sat_clauses = 0;
-    learnts_removed = 0;
-    nodes_encoded = 0;
-    nodes_reused = 0;
-    unroll_hits = 0;
-    queries = 0;
-    unknowns = 0;
-    frame_seconds = [];
-    wall_seconds = 0.0;
-  }
 
 (* SLM argument values as Verilog literals — the whole counterexample is
    a function of these (see [Checker.cex_of_params]). *)
@@ -180,7 +127,7 @@ let params_of_json = function
     List.fold_right
       (fun e acc ->
         let* acc = acc in
-        let* name = string_field e "name" in
+        let* name = Json.string_field "name" e in
         match Json.field "value" e with
         | Some v ->
           let* v = value_of_json v in
@@ -214,7 +161,7 @@ let slm_wire_to_json = function
         ("stats", stats_to_json stats) ]
 
 let slm_wire_of_json v =
-  let* verdict = string_field v "verdict" in
+  let* verdict = Json.string_field "verdict" v in
   let* stats =
     match Json.field "stats" v with
     | Some s -> stats_of_json s
@@ -437,8 +384,8 @@ let inputs_of_json = function
               List.fold_right
                 (fun i acc ->
                   let* acc = acc in
-                  let* port = string_field i "port" in
-                  let* s = string_field i "value" in
+                  let* port = Json.string_field "port" i in
+                  let* s = Json.string_field "value" i in
                   match Bitvec.of_string s with
                   | bv -> Ok ((port, bv) :: acc)
                   | exception Invalid_argument m ->
@@ -471,7 +418,7 @@ let frame_wire_to_json = function
         ("stats", stats_to_json stats) ]
 
 let frame_wire_of_json v =
-  let* kind = string_field v "frame" in
+  let* kind = Json.string_field "frame" v in
   let* stats =
     match Json.field "stats" v with
     | Some s -> stats_of_json s
@@ -491,10 +438,10 @@ let frame_wire_of_json v =
       | Some i -> inputs_of_json i
       | None -> Error "sat frame without inputs"
     in
-    let* diverging_cycle = int_field v "cycle" in
-    let* diverging_port = string_field v "port" in
-    let* a = string_field v "a" in
-    let* b = string_field v "b" in
+    let* diverging_cycle = Json.int_field "cycle" v in
+    let* diverging_port = Json.string_field "port" v in
+    let* a = Json.string_field "a" v in
+    let* b = Json.string_field "b" v in
     let bv s =
       match Bitvec.of_string s with
       | bv -> Ok bv
@@ -513,29 +460,6 @@ let frame_wire_of_json v =
            },
            stats ))
   | k -> Error (Printf.sprintf "unknown frame verdict %S" k)
-
-(* Same re-simulation the sequential checker performs on a SAT model
-   (its [find_divergence] is private); walks both designs on the shared
-   concrete inputs until an output differs. *)
-let find_divergence a b inputs_per_cycle =
-  let sim_a = Sim.create a and sim_b = Sim.create b in
-  let n = Array.length inputs_per_cycle in
-  let rec go t =
-    if t >= n then None
-    else begin
-      let outs_a = Sim.cycle sim_a inputs_per_cycle.(t) in
-      let outs_b = Sim.cycle sim_b inputs_per_cycle.(t) in
-      let diff =
-        List.find_opt
-          (fun (name, va) -> not (Bitvec.equal va (List.assoc name outs_b)))
-          outs_a
-      in
-      match diff with
-      | Some (name, va) -> Some (t, name, va, List.assoc name outs_b)
-      | None -> go (t + 1)
-    end
-  in
-  go 0
 
 (* Decide one frame of the product machine in a private session.  Frame
    miters are independent — the sequential checker's blocking clauses
@@ -564,7 +488,7 @@ let check_frame ~budget ~a ~b t =
           List.map (fun (n, w) -> (n, Session.model_word session w)) inputs)
         (Array.sub all 0 (min (t + 1) (Array.length all)))
     in
-    match find_divergence a b concrete with
+    match Checker.find_divergence a b concrete with
     | Some (t, port, va, vb) ->
       F_sat
         ( {
@@ -617,9 +541,9 @@ let check_rtl_rtl ?jobs ?timeout ?budget ?(progress = false)
         (fun acc o ->
           match o with
           | Some (Ok (F_unsat s | F_sat (_, s) | F_unknown (_, s))) ->
-            add_stats acc s
+            Checker.add_stats acc s
           | _ -> acc)
-        zero_stats r.Pool.outcomes
+        Checker.zero_stats r.Pool.outcomes
     in
     let finish stats = { stats with Checker.wall_seconds = now () -. t0 } in
     match r.Pool.winner with

@@ -67,6 +67,23 @@ let add_stats (b : stats) (s : stats) =
     frame_seconds = b.frame_seconds @ s.frame_seconds;
   }
 
+let zero_stats =
+  {
+    aig_ands = 0;
+    sat_conflicts = 0;
+    sat_decisions = 0;
+    sat_propagations = 0;
+    sat_clauses = 0;
+    learnts_removed = 0;
+    nodes_encoded = 0;
+    nodes_reused = 0;
+    unroll_hits = 0;
+    queries = 0;
+    unknowns = 0;
+    frame_seconds = [];
+    wall_seconds = 0.0;
+  }
+
 (* Checker calls on a caller-supplied session use the session's budget
    unless the call overrides it. *)
 let effective_budget budget session =

@@ -43,6 +43,12 @@ type stats = Session.stats = {
     session the counters are cumulative over that session's lifetime;
     [wall_seconds] is always the reporting call's own elapsed time. *)
 
+val add_stats : stats -> stats -> stats
+(** [add_stats b s] sums the counters, [b]'s frame times first; the
+    [wall_seconds] stay [s]'s.  {!zero_stats} is its unit. *)
+
+val zero_stats : stats
+
 type cex = {
   params : (string * Dfv_hwir.Interp.value) list;
       (** SLM argument values that exhibit the divergence. *)
@@ -144,6 +150,14 @@ type rtl_verdict =
   | Rtl_not_equivalent of rtl_cex * stats
   | Rtl_unknown of Dfv_sat.Solver.reason * stats
       (** The budget ran out before some frame was decided. *)
+
+val find_divergence :
+  Dfv_rtl.Netlist.elaborated ->
+  Dfv_rtl.Netlist.elaborated ->
+  (string * Dfv_bitvec.Bitvec.t) list array ->
+  (int * string * Dfv_bitvec.Bitvec.t * Dfv_bitvec.Bitvec.t) option
+(** Re-simulate both designs from reset on the same inputs: the first
+    [(cycle, port, value_a, value_b)] where an output differs. *)
 
 val check_rtl_rtl :
   ?budget:Dfv_sat.Solver.budget ->

@@ -150,21 +150,9 @@ let request_to_json { id; op } =
 
 let ( let* ) = Result.bind
 
-let str_field v name =
-  match Json.field name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let int_field v name =
-  match Json.field name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" name)
-
-let int_field_default v name d =
-  match Json.field name v with
-  | Some (Json.Int i) -> Ok i
-  | None -> Ok d
-  | Some _ -> Error (Printf.sprintf "bad int field %S" name)
+(* An optional int field: absent takes the default [d]. *)
+let int_or d name v =
+  match Json.field name v with None -> Ok d | Some _ -> Json.int_field name v
 
 let budget_field v =
   match Json.field "budget" v with
@@ -180,15 +168,15 @@ let check_envelope v =
 
 let request_of_json v =
   let* () = check_envelope v in
-  let* kind = str_field v "kind" in
+  let* kind = Json.string_field "kind" v in
   if kind <> "request" then Error (Printf.sprintf "not a request frame (%s)" kind)
   else
-    let* id = int_field v "id" in
-    let* op_s = str_field v "op" in
+    let* id = Json.int_field "id" v in
+    let* op_s = Json.string_field "op" v in
     let* op =
       match op_s with
       | "sec" ->
-        let* design = str_field v "design" in
+        let* design = Json.string_field "design" v in
         let* bug =
           match Json.field "bug" v with
           | Some (Json.String b) -> Ok b
@@ -198,15 +186,15 @@ let request_of_json v =
         let* budget = budget_field v in
         Ok (Sec { design; bug; budget })
       | "sim" ->
-        let* design = str_field v "design" in
+        let* design = Json.string_field "design" v in
         let* bug =
           match Json.field "bug" v with
           | Some (Json.String b) -> Ok b
           | None -> Ok "none"
           | Some _ -> Error "bad bug field"
         in
-        let* vectors = int_field_default v "vectors" 1000 in
-        let* seed = int_field_default v "seed" 0 in
+        let* vectors = int_or 1000 "vectors" v in
+        let* seed = int_or 0 "seed" v in
         Ok (Sim { design; bug; vectors; seed })
       | "faultsim" ->
         let* designs =
@@ -221,10 +209,10 @@ let request_of_json v =
               ds (Ok [])
           | _ -> Error "faultsim without designs"
         in
-        let* seed = int_field_default v "seed" 0 in
-        let* max_rtl_faults = int_field_default v "max_rtl_faults" 16 in
-        let* max_slm_faults = int_field_default v "max_slm_faults" 8 in
-        let* sim_vectors = int_field_default v "sim_vectors" 400 in
+        let* seed = int_or 0 "seed" v in
+        let* max_rtl_faults = int_or 16 "max_rtl_faults" v in
+        let* max_slm_faults = int_or 8 "max_slm_faults" v in
+        let* sim_vectors = int_or 400 "sim_vectors" v in
         let* budget = budget_field v in
         Ok
           (Faultsim
@@ -279,7 +267,7 @@ let payload_of_json v =
       | Some (Json.Int r) -> Ok (float_of_int r)
       | _ -> Error "faultsim payload without rate"
     in
-    let* f_false_eq = int_field f "false_equivalents" in
+    let* f_false_eq = Json.int_field "false_equivalents" f in
     let* f_pass =
       match Json.field "pass" f with
       | Some (Json.Bool b) -> Ok b
@@ -313,12 +301,12 @@ let response_to_json r =
 
 let response_of_json v =
   let* () = check_envelope v in
-  let* kind = str_field v "kind" in
+  let* kind = Json.string_field "kind" v in
   if kind <> "response" then
     Error (Printf.sprintf "not a response frame (%s)" kind)
   else
-    let* rsp_id = int_field v "id" in
-    let* key = str_field v "key" in
+    let* rsp_id = Json.int_field "id" v in
+    let* key = Json.string_field "key" v in
     let* cached =
       match Json.field "cached" v with
       | Some (Json.Bool b) -> Ok b

@@ -241,6 +241,47 @@ let summary_json st =
       ("log_truncated", Json.Bool (st.logged > List.length st.log));
       ("log", Json.List (List.rev st.log)) ]
 
+(* What a dfv-serve reader may rely on: frames decode through
+   {!Protocol}, and a summary carries the fields [summary_json] writes. *)
+let check j =
+  let ( let* ) = Result.bind in
+  let endpoint e =
+    let* () = Json.has Json.string_field [ "op" ] e in
+    let* () =
+      Json.has Json.int_field
+        [ "requests"; "hits"; "misses"; "solves"; "errors" ]
+        e
+    in
+    Json.has Json.number_field [ "hit_rate"; "mean_seconds" ] e
+  in
+  let entry e =
+    let* () = Json.has Json.string_field [ "op"; "status" ] e in
+    Json.has Json.number_field [ "seconds" ] e
+  in
+  let summary () =
+    let* () = Json.has Json.int_field [ "requests" ] j in
+    let* () = Json.has Json.number_field [ "uptime_seconds" ] j in
+    let* endpoints = Json.list_field "endpoints" j in
+    let* () = Json.each endpoint endpoints in
+    let* () = Result.bind (Json.list_field "log" j) (Json.each entry) in
+    match Json.field "cache" j with
+    | Some (Json.Obj _ as c) ->
+      Json.has Json.int_field
+        [ "size"; "capacity"; "hits"; "misses"; "evicted"; "replayed";
+          "rejected" ]
+        c
+    | _ -> Error "missing object field \"cache\""
+  in
+  match (Json.envelope_of j, Json.string_field "kind" j) with
+  | _, Ok "request" -> Result.map ignore (Protocol.request_of_json j)
+  | _, Ok "response" -> Result.map ignore (Protocol.response_of_json j)
+  | Some (s, v), Ok "summary" when s = Protocol.schema && v = Protocol.version
+    ->
+    summary ()
+  | _, Ok "summary" -> Error "not a dfv-serve v1 summary"
+  | _, Ok k -> Error ("unknown dfv-serve kind " ^ k)
+  | _, Error _ -> Error "missing kind"
+
 (* --- request handling --------------------------------------------------- *)
 
 type pending = {

@@ -42,6 +42,13 @@ type config = {
   log_limit : int;  (** request-log entries kept for the summary *)
 }
 
+val check : Dfv_obs.Json.t -> (unit, string) result
+(** Whether a [dfv-serve] document is well formed: request and response
+    frames must decode through {!Protocol}, and a summary must carry
+    the request count, per-endpoint rows, cache counters, uptime and
+    request log the daemon writes.  The error names the first offending
+    field. *)
+
 val default_config : socket:string -> config
 (** capacity 256, no store, [jobs = Pool.cores ()], no summary, log
     limit 4096. *)

@@ -25,5 +25,6 @@ let () =
       ("par", Test_par.suite);
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
+      ("artifact", Test_artifact.suite);
       ("properties", Test_properties.suite);
       ("behsyn", Test_behsyn.suite) ]

@@ -324,9 +324,6 @@ let payload_exn r =
   | Ok p -> p
   | Error e -> Alcotest.failf "server error: %s" (Dfv_error.to_string e)
 
-let int_field v name =
-  match Json.field name v with Some (Json.Int i) -> i | _ -> -1
-
 let endpoint_stats stats op =
   match Json.field "endpoints" stats with
   | Some (Json.List eps) -> (
@@ -400,22 +397,23 @@ let test_serve_end_to_end () =
     | Protocol.R_stats s -> s
     | _ -> Alcotest.fail "stats payload"
   in
+  let count name v = Result.value ~default:(-1) (Json.int_field name v) in
   let sec_ep = endpoint_stats stats "sec" in
-  Alcotest.(check int) "sec requests" 3 (int_field sec_ep "requests");
+  Alcotest.(check int) "sec requests" 3 (count "requests" sec_ep);
   Alcotest.(check int)
-    "one solve for two identical sec queries" 1 (int_field sec_ep "solves");
+    "one solve for two identical sec queries" 1 (count "solves" sec_ep);
   let sim_ep = endpoint_stats stats "sim" in
-  Alcotest.(check int) "sim requests" 2 (int_field sim_ep "requests");
+  Alcotest.(check int) "sim requests" 2 (count "requests" sim_ep);
   Alcotest.(check int)
-    "one solve for two identical sims" 1 (int_field sim_ep "solves");
+    "one solve for two identical sims" 1 (count "solves" sim_ep);
   let cache_hits =
     match Json.field "cache" stats with
-    | Some c -> int_field c "hits"
+    | Some c -> count "hits" c
     | None -> -1
   in
   let coalesced =
-    int_field sec_ep "requests" + int_field sim_ep "requests"
-    - int_field sec_ep "solves" - int_field sim_ep "solves" - cache_hits
+    count "requests" sec_ep + count "requests" sim_ep
+    - count "solves" sec_ep - count "solves" sim_ep - cache_hits
     (* the error request neither hits nor solves *) - 1
   in
   Alcotest.(check bool)
