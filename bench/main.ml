@@ -1644,7 +1644,7 @@ let sat_core_instances =
     {
       inst = "chain/none sweep";
       go = (fun () -> ignore (Dfv_core.Flow.sec (chain ())));
-      golden = (9348, 11951, 1637945);
+      golden = (8678, 11068, 1206039);
       sweep_golden = Some (1349, 1349);
     } ]
 

@@ -162,6 +162,7 @@ let render_trace ~top buf v =
 
 let render_coverage ~top buf v =
   let holes = ref [] in
+  let groups = ok (Coverage.read v) in
   List.iter
     (fun g ->
       let gname = Coverage.group_name g in
@@ -183,10 +184,13 @@ let render_coverage ~top buf v =
                   :: !holes)
             (Coverage.bin_hits p))
         (Coverage.points g))
-    (ok (Coverage.read v));
-  match List.rev !holes with
-  | [] -> bprintf buf "  no coverage holes\n"
-  | holes ->
+    groups;
+  (* A run that simulated nothing (SEC-decided verify, faultsim) writes
+     no group: that is no evidence, not full coverage. *)
+  match (groups, List.rev !holes) with
+  | [], _ -> bprintf buf "  no covergroup sampled\n"
+  | _, [] -> bprintf buf "  no coverage holes\n"
+  | _, holes ->
     bprintf buf "  %d coverage hole(s); worst:\n" (List.length holes);
     List.iter
       (fun (_, where, hits, need) ->

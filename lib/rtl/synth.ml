@@ -56,10 +56,27 @@ let build design ~g ~inputs ~state =
       Hashtbl.replace tbl m.mem_name
         (Array.init m.mem_size (fun i -> state (Mem_word (m.mem_name, i)))))
     design.e_mems;
+  (* Every non-leaf subtree is synthesized once per call, so the cost is
+     linear in the expression DAG rather than the tree (fir's saturating
+     adds nest their operand three deep).  Structural hashing would have
+     returned the same literals for a repeat walk, and evaluation stays
+     depth-first in first-occurrence order, so the graph is node-for-node
+     the one the repeat walks built. *)
+  let memo : (Expr.t, Word.w) Hashtbl.t = Hashtbl.create 256 in
   let rec ev e : Word.w =
     match e with
     | Expr.Const bv -> Word.const bv
     | Expr.Signal n -> Hashtbl.find values n
+    | _ -> (
+      match Hashtbl.find_opt memo e with
+      | Some w -> w
+      | None ->
+        let w = ev_node e in
+        Hashtbl.add memo e w;
+        w)
+  and ev_node e : Word.w =
+    match e with
+    | Expr.Const _ | Expr.Signal _ -> ev e
     | Expr.Unop (op, a) ->
       let va = ev a in
       (match op with

@@ -98,6 +98,7 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable conflict_budget : int; (* -1 = unlimited; counts down in solve *)
+  mutable propagation_limit : int; (* absolute bound; max_int = none *)
   mutable deadline : float; (* absolute gettimeofday bound; infinity = none *)
   (* Learnt-DB reduction. *)
   mutable learnt_limit : int; (* reduce when learnts exceed this; grows *)
@@ -134,6 +135,7 @@ let create () =
     decisions = 0;
     propagations = 0;
     conflict_budget = -1;
+    propagation_limit = max_int;
     deadline = infinity;
     learnt_limit = 8192;
     learnts_removed = 0;
@@ -652,6 +654,13 @@ let solve ?(assumptions = []) s =
               raise (Out_of_budget Conflict_limit)
             end
           end;
+          (* The propagation ceiling is checked where the conflict budget
+             is, so it never touches the propagation loop; running out of
+             it reads as running out of conflicts. *)
+          if s.propagations >= s.propagation_limit then begin
+            cancel_until s 0;
+            raise (Out_of_budget Conflict_limit)
+          end;
           if
             s.deadline < infinity
             && s.conflicts land 63 = 0
@@ -790,14 +799,19 @@ let observed s f =
 let solve ?assumptions s =
   cancel_until s 0;
   s.conflict_budget <- -1;
+  s.propagation_limit <- max_int;
   s.deadline <- infinity;
   observed s (fun () -> solve_raw ?assumptions s)
 
 type outcome = Sat | Unsat | Unknown of reason
 
-let solve_budgeted ?assumptions ?(budget = no_budget) s : outcome =
+let solve_budgeted ?assumptions ?(budget = no_budget) ?max_propagations s :
+    outcome =
   (match budget.max_conflicts with
   | Some n when n < 1 -> invalid_arg "Solver.solve_budgeted: max_conflicts"
+  | Some _ | None -> ());
+  (match max_propagations with
+  | Some n when n < 1 -> invalid_arg "Solver.solve_budgeted: max_propagations"
   | Some _ | None -> ());
   (match budget.max_seconds with
   | Some sec when sec < 0.0 -> invalid_arg "Solver.solve_budgeted: max_seconds"
@@ -809,9 +823,14 @@ let solve_budgeted ?assumptions ?(budget = no_budget) s : outcome =
     (match budget.max_seconds with
     | Some sec -> Unix.gettimeofday () +. sec
     | None -> infinity);
+  s.propagation_limit <-
+    (match max_propagations with
+    | Some n when n < max_int - s.propagations -> s.propagations + n
+    | Some _ | None -> max_int);
   let restore () =
     s.conflict_budget <- -1;
-    s.deadline <- infinity
+    s.deadline <- infinity;
+    s.propagation_limit <- max_int
   in
   match observed s (fun () -> solve_raw ?assumptions s) with
   | r ->

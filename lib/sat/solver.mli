@@ -83,10 +83,22 @@ type outcome =
           off. *)
 
 val solve_budgeted :
-  ?assumptions:Lit.t list -> ?budget:budget -> t -> outcome
+  ?assumptions:Lit.t list ->
+  ?budget:budget ->
+  ?max_propagations:int ->
+  t ->
+  outcome
 (** Like {!solve} but bounded by [budget] (default {!no_budget}).  The
     wall clock is checked every 64 conflicts, so a query that never
-    conflicts is allowed to finish even under a tiny time budget. *)
+    conflicts is allowed to finish even under a tiny time budget.
+
+    [max_propagations] is a work ceiling on this call: at the first
+    conflict after that many unit propagations the call gives up with
+    [Unknown Conflict_limit], the same outcome as an exhausted conflict
+    budget.  It is checked only at conflicts, so it never touches the
+    propagation loop, and a call that stays under it searches exactly
+    as without it.  The SEC checker uses it to cut its direct probe
+    short when a sweep can follow. *)
 
 val solve_bounded :
   ?assumptions:Lit.t list -> max_conflicts:int -> t -> result option

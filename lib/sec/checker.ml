@@ -175,7 +175,15 @@ let constraint_words slm ~g param_shapes constraints =
       them like any other cex.  Most planted bugs fall here.
    2. Direct probe: the query in the session under at most
       [direct_budget] conflicts — cheap miters (most clean pairs with
-      little internal structure to rediscover) finish here.
+      little internal structure to rediscover) finish here.  When a
+      sweep can follow, the probe also stops at the first conflict past
+      [direct_propagations] unit propagations: the miters it decides
+      are small (gcd/none takes 269 conflicts and about 40k
+      propagations), while the sweep-bound ones run 140k-530k
+      propagations into their 1000 conflicts and decide nothing.  A
+      conflict budget at or below [direct_budget] leaves no sweep to
+      hand over to, so the probe is then the caller's plain attempt,
+      with no ceiling.
    3. If the probe runs out, SAT-sweep the cone of the violation and
       the side constraints ({!Dfv_aig.Sweep.fraig} with [~roots]),
       merging internally equivalent nodes so structural differences
@@ -195,8 +203,10 @@ let constraint_words slm ~g param_shapes constraints =
    throwaway session, if one ran, so the verdict's stats can count both
    attempts. *)
 let direct_budget = 1_000
+let direct_propagations = 100_000
 
 let m_screened = Dfv_obs.Metrics.counter "sec.screened"
+let m_probe_ceiling = Dfv_obs.Metrics.counter "sec.probe_ceiling"
 
 let decode_params value ps =
   let word w = Bitvec.of_bits (Array.map value w) in
@@ -221,10 +231,12 @@ let screen session param_shapes roots =
     Some (decode_params (Aig.lit_of_node_value values) param_shapes)
 
 let solve_miter ~sweep ~budget session param_shapes violated cstrs =
-  let run sn b ps v cs =
+  let run ?max_propagations sn b ps v cs =
     let act = Session.activation sn in
     List.iter (Session.guard sn act) cs;
-    let outcome = Session.check ~assumptions:[ act ] ~budget:b sn v in
+    let outcome =
+      Session.check ~assumptions:[ act ] ~budget:b ?max_propagations sn v
+    in
     let params =
       match outcome with
       | Solver.Sat -> Some (decode_params (Session.model_lit sn) ps)
@@ -238,30 +250,40 @@ let solve_miter ~sweep ~budget session param_shapes violated cstrs =
     | None -> None
     | Some s -> Some (now () +. s)
   in
+  let probe_conflicts =
+    match budget.Solver.max_conflicts with
+    | Some n -> min n direct_budget
+    | None -> direct_budget
+  in
   let first_budget =
     if not sweep then budget
-    else
-      {
-        budget with
-        Solver.max_conflicts =
-          Some
-            (match budget.Solver.max_conflicts with
-            | Some n -> min n direct_budget
-            | None -> direct_budget);
-      }
+    else { budget with Solver.max_conflicts = Some probe_conflicts }
   in
-  match run session first_budget param_shapes violated cstrs with
+  let conflicts_left =
+    match budget.Solver.max_conflicts with
+    | Some n -> n > direct_budget
+    | None -> true
+  in
+  let max_propagations =
+    if sweep && conflicts_left then Some direct_propagations else None
+  in
+  let c0 = Solver.nconflicts (Session.solver session) in
+  match
+    run ?max_propagations session first_budget param_shapes violated cstrs
+  with
   | (Solver.Unknown r, _) when sweep ->
+    if
+      r = Solver.Conflict_limit
+      && Solver.nconflicts (Session.solver session) - c0 < probe_conflicts
+    then Dfv_obs.Metrics.incr m_probe_ceiling;
     (* Retry on the swept graph only with budget left to spend. *)
-    let conflicts_left =
-      match (r, budget.Solver.max_conflicts) with
-      | Solver.Conflict_limit, Some n -> n > direct_budget
-      | (Solver.Conflict_limit | Solver.Time_limit), _ -> true
-    in
     let seconds_left () =
       Option.map (fun d -> Float.max 0. (d -. now ())) deadline
     in
-    if not conflicts_left || seconds_left () = Some 0. then
+    if
+      (not (conflicts_left || r = Solver.Time_limit))
+      || seconds_left () = Some 0.
+    then
       (Solver.Unknown r, None, None)
     else begin
       let g2, tr =

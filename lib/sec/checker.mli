@@ -86,7 +86,20 @@ val cex_of_params :
 val direct_budget : int
 (** Conflict limit of the direct probe that precedes the sweep (1000).
     A conflict budget at or below it leaves nothing for the sweep, so
-    the probe's [Unknown] stands. *)
+    the probe is the caller's whole attempt: it spends that budget, with
+    no propagation ceiling, and its [Unknown] stands. *)
+
+val direct_propagations : int
+(** Work ceiling of the direct probe when a sweep can follow (100,000
+    unit propagations; see
+    {!Dfv_sat.Solver.solve_budgeted}'s [max_propagations]).  The probe
+    stops at {!direct_budget} conflicts or at the first conflict past
+    this many propagations, whichever comes first.  The miters the
+    probe decides are small (gcd/none: 269 conflicts, about 40k
+    propagations); the sweep-bound ones run 140k-530k propagations into
+    their 1000 conflicts without an answer.  A probe stopped here
+    reports [Conflict_limit] like any exhausted probe and is counted by
+    the [sec.probe_ceiling] metric. *)
 
 val check_slm_rtl :
   ?sweep:bool ->
@@ -103,7 +116,8 @@ val check_slm_rtl :
     tool-flow consequence of violating the Section 4.3 guidelines.
 
     Solving is a portfolio: a random-simulation screen, then a direct
-    probe of at most {!direct_budget} conflicts, then SAT sweeping of
+    probe of at most {!direct_budget} conflicts and
+    {!direct_propagations} propagations, then SAT sweeping of
     the miter's cone ({!Dfv_aig.Sweep.fraig}) and a re-solve on the
     swept graph.  The sweep runs only with budget left: a conflict
     budget above the probe's, and time before the [max_seconds]

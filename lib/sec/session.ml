@@ -124,7 +124,7 @@ let m_unknowns = Dfv_obs.Metrics.counter "sec.unknowns"
 let m_unroll_hits = Dfv_obs.Metrics.counter "sec.unroll_hits"
 let m_frame_us = Dfv_obs.Metrics.histogram "sec.frame_us"
 
-let check ?(assumptions = []) ?budget t l =
+let check ?(assumptions = []) ?budget ?max_propagations t l =
   let sp = Dfv_obs.Trace.begin_span ~cat:"sec" "sec.frame" in
   let b = match budget with Some b -> b | None -> t.budget in
   let t0 = now () in
@@ -134,7 +134,7 @@ let check ?(assumptions = []) ?budget t l =
       ~finally:(fun () -> Dfv_obs.Trace.end_span sp)
       (fun () ->
         Solver.solve_budgeted ~assumptions:(assumptions @ [ sl ]) ~budget:b
-          t.solver)
+          ?max_propagations t.solver)
   in
   t.queries <- t.queries + 1;
   Dfv_obs.Metrics.incr m_queries;

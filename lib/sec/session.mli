@@ -91,13 +91,15 @@ val retire : t -> Dfv_sat.Lit.t -> unit
 val check :
   ?assumptions:Dfv_sat.Lit.t list ->
   ?budget:Dfv_sat.Solver.budget ->
+  ?max_propagations:int ->
   t ->
   Dfv_aig.Aig.lit ->
   Dfv_sat.Solver.outcome
 (** [check t l] decides whether [l] is satisfiable under the session's
     clauses and the given assumptions.  Encodes [l] on demand; bounded
-    by [budget] (default: the session budget).  Updates the query
-    counters and per-query solve times in {!stats}. *)
+    by [budget] (default: the session budget) and by the optional work
+    ceiling [max_propagations] (see {!Dfv_sat.Solver.solve_budgeted}).
+    Updates the query counters and per-query solve times in {!stats}. *)
 
 val model_lit : t -> Dfv_aig.Aig.lit -> bool
 (** A literal's value in the most recent [Sat] model; literals whose

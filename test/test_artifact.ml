@@ -179,6 +179,20 @@ let test_report_omits_zero_metrics () =
   check_bool "omitted count" true
     (contains ~needle:"3 zero-valued metrics omitted" out)
 
+(* A coverage file with no group (what a run that simulated nothing
+   writes) reports that no covergroup was sampled, not full coverage. *)
+let test_report_empty_coverage () =
+  let file =
+    write (fresh_dir ()) "c.json"
+      {|{"schema":"dfv-coverage","version":1,"groups":[]}|}
+  in
+  let ok, out = report file in
+  check_bool "renders" true ok;
+  check_bool "says nothing was sampled" true
+    (contains ~needle:"no covergroup sampled" out);
+  check_bool "claims no full coverage" false
+    (contains ~needle:"no coverage holes" out)
+
 let suite =
   [ Alcotest.test_case "written artifacts pass" `Quick
       test_written_artifacts_pass;
@@ -187,4 +201,6 @@ let suite =
     Alcotest.test_case "report fails as validate" `Quick
       test_report_fails_with_validate_message;
     Alcotest.test_case "report omits zero metrics" `Quick
-      test_report_omits_zero_metrics ]
+      test_report_omits_zero_metrics;
+    Alcotest.test_case "report empty coverage" `Quick
+      test_report_empty_coverage ]

@@ -374,10 +374,10 @@ let test_screen_deterministic () =
     (screened_pairs ())
 
 (* The SAT work behind a verdict is pinned exactly: the solver's data
-   layout may change, its search may not (the counts cover the
-   1000-conflict direct probe plus the cone sweep's pairwise queries and
-   the re-solve).  A drift here moves every budgeted [Unknown] and so
-   every serve cache key. *)
+   layout may change, its search may not (the counts cover the direct
+   probe, stopped by its propagation ceiling, plus the cone sweep's
+   pairwise queries and the re-solve).  A drift here moves every
+   budgeted [Unknown] and so every serve cache key. *)
 let check_sat_work name d ~conflicts ~propagations =
   check_int (name ^ ": sat.conflicts") conflicts (List.assoc "sat.conflicts" d);
   check_int (name ^ ": sat.propagations") propagations
@@ -402,7 +402,7 @@ let test_retried_stats_match_metrics () =
       stats.Checker.unknowns;
     check_int "direct attempt and retry" 2 stats.Checker.queries;
     check_int "direct attempt ran out" 1 stats.Checker.unknowns;
-    check_sat_work "fir/none" d ~conflicts:2220 ~propagations:277632
+    check_sat_work "fir/none" d ~conflicts:1898 ~propagations:236941
   | Checker.Not_equivalent _ | Checker.Unknown _ ->
     Alcotest.fail "fir/none should be equivalent"
 
@@ -418,7 +418,7 @@ let test_chain_sat_work () =
   in
   match v with
   | Checker.Equivalent _ ->
-    check_sat_work "chain/none" d ~conflicts:9348 ~propagations:1637945
+    check_sat_work "chain/none" d ~conflicts:8678 ~propagations:1206039
   | Checker.Not_equivalent _ | Checker.Unknown _ ->
     Alcotest.fail "chain/none should be equivalent"
 
@@ -435,6 +435,58 @@ let test_sec_phase_spans () =
   Dfv_obs.Trace.enable ();
   ignore (Flow.sec (fir_none ()));
   check_int "retried: one fraig span" 1 (span_count "aig.fraig")
+
+(* The propagation ceiling cuts fir/none's probe short of its 1000
+   conflicts, and the sweep then proves it. *)
+let test_probe_ceiling_sweeps () =
+  Fun.protect ~finally:Dfv_obs.Trace.disable @@ fun () ->
+  Dfv_obs.Trace.enable ();
+  let session = Session.create () in
+  let v, d =
+    with_deltas [ "sec.probe_ceiling" ] (fun () ->
+        Flow.sec ~session (fir_none ()))
+  in
+  (match v with
+  | Checker.Equivalent _ -> ()
+  | Checker.Not_equivalent _ | Checker.Unknown _ ->
+    Alcotest.fail "fir/none should be equivalent");
+  let probe = Session.stats session in
+  check_bool "probe stopped before its conflict budget" true
+    (probe.Session.sat_conflicts < Checker.direct_budget);
+  check_bool "probe reached the ceiling" true
+    (probe.Session.sat_propagations >= Checker.direct_propagations);
+  check_int "ceiling counted" 1 (List.assoc "sec.probe_ceiling" d);
+  check_int "one fraig span" 1 (span_count "aig.fraig")
+
+(* gcd/none is decided by the probe well under the ceiling: no sweep,
+   and the direct search is the one the conflict budget alone gave. *)
+let test_probe_decides_gcd () =
+  Fun.protect ~finally:Dfv_obs.Trace.disable @@ fun () ->
+  Dfv_obs.Trace.enable ();
+  let t = Gcd.make ~width:4 in
+  let pair =
+    Pair.create ~name:"gcd" ~slm:t.Gcd.slm ~rtl:t.Gcd.rtl ~spec:t.Gcd.spec
+  in
+  let v, d =
+    with_deltas
+      [ "sat.conflicts"; "sat.propagations"; "sec.probe_ceiling" ]
+      (fun () -> Flow.sec pair)
+  in
+  (match v with
+  | Checker.Equivalent stats -> check_int "one query" 1 stats.Checker.queries
+  | Checker.Not_equivalent _ | Checker.Unknown _ ->
+    Alcotest.fail "gcd/none should be equivalent");
+  check_sat_work "gcd/none" d ~conflicts:269 ~propagations:40253;
+  check_int "ceiling not reached" 0 (List.assoc "sec.probe_ceiling" d);
+  check_int "no fraig span" 0 (span_count "aig.fraig")
+
+(* Unrolling walks each shared expression once, but builds the same
+   graph node for node: fir/none's session graph keeps its size. *)
+let test_fir_graph_size () =
+  let session = Session.create () in
+  ignore (Flow.sec ~session (fir_none ()));
+  check_int "session graph nodes" 5566
+    (Dfv_aig.Aig.num_nodes (Session.graph session))
 
 (* A conflict budget no larger than the direct probe leaves nothing for
    the sweep: fir/none, which needs the sweep, stays Unknown and no
@@ -491,4 +543,10 @@ let suite =
     Alcotest.test_case "chain sat work is pinned" `Quick test_chain_sat_work;
     Alcotest.test_case "sec phase spans" `Quick test_sec_phase_spans;
     Alcotest.test_case "probe-sized budget skips the sweep" `Quick
-      test_probe_budget_no_sweep ]
+      test_probe_budget_no_sweep;
+    Alcotest.test_case "probe ceiling hands fir to the sweep" `Quick
+      test_probe_ceiling_sweeps;
+    Alcotest.test_case "probe decides gcd directly" `Quick
+      test_probe_decides_gcd;
+    Alcotest.test_case "fir unrolled graph size is pinned" `Quick
+      test_fir_graph_size ]

@@ -455,6 +455,38 @@ let test_vcd_clamps_before_first_cycle () =
   check_bool "no negative timestamp" false (contains "#-");
   check_bool "pre-cycle sample lands at #0" true (contains "#0")
 
+(* Synthesis walks each shared subtree once.  [e := e +: e] forty times
+   is a tree of 2^40 nodes but a DAG of forty, so a tree walk would never
+   finish.  Elaboration walks the tree too, so the elaborated record is
+   built by hand.  Doubling is a left shift by one bit: level 3 is
+   [a << 3], and from level 8 on every bit is constant zero. *)
+let test_synth_shared_subtrees () =
+  let open Expr in
+  let rec nest n e = if n = 0 then e else nest (n - 1) (e +: e) in
+  let d =
+    {
+      Netlist.e_name = "doubling";
+      e_inputs = [ { Netlist.port_name = "a"; port_width = 8 } ];
+      e_outputs = [ ("o3", nest 3 (sig_ "a")); ("o40", sig_ "w") ];
+      e_wires = [ ("w", nest 40 (sig_ "a")) ];
+      e_regs = [];
+      e_mems = [];
+      e_signal_width = (fun _ -> 8);
+    }
+  in
+  let g = Aig.create () in
+  let a = Word.inputs g 8 in
+  let t0 = Sys.time () in
+  let outputs, _ =
+    Synth.build d ~g ~inputs:(fun _ -> a) ~state:(fun _ -> assert false)
+  in
+  check_bool "well under a second" true (Sys.time () -. t0 < 1.0);
+  let lits name = Array.to_list (List.assoc name outputs) in
+  let zeros n = List.init n (fun _ -> Aig.false_) in
+  check_bool "level 3 is a << 3" true
+    (lits "o3" = zeros 3 @ Array.to_list (Array.sub a 0 5));
+  check_bool "level 40 is zero" true (lits "o40" = zeros 8)
+
 let suite =
   [ Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "accumulator" `Quick test_accumulator;
@@ -469,6 +501,8 @@ let suite =
     Alcotest.test_case "synth=sim: regfile" `Quick test_synth_regfile;
     Alcotest.test_case "synth=sim: fig1" `Quick test_synth_fig1;
     Alcotest.test_case "synth=sim: ops soup" `Quick test_synth_ops_soup;
+    Alcotest.test_case "synth walks shared subtrees once" `Quick
+      test_synth_shared_subtrees;
     Alcotest.test_case "vcd" `Quick test_vcd;
     Alcotest.test_case "vcd clamps pre-cycle sample" `Quick
       test_vcd_clamps_before_first_cycle ]
